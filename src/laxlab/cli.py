@@ -75,7 +75,9 @@ def _cmd_verify(args) -> int:
             r.status == verify.DISCREPANCY for r in reports
         ) else 0
     if rules is not None:
-        report = verify.verify_prop31(rules=rules)
+        report = verify.verify_prop31(
+            rules=rules, negative_control=args.negative_control
+        )
     else:
         report = verify.run(args.case,
                             negative_control=args.negative_control)

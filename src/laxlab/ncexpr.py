@@ -25,6 +25,7 @@ Conventions baked into the kernel:
 
 from __future__ import annotations
 
+import heapq
 import os
 import re
 from dataclasses import dataclass, field
@@ -98,17 +99,28 @@ class SubstitutionError(LaxlabError):
 
 
 class PassBudgetExhausted(LaxlabError):
-    """Rewriting did not reach a normal form within the application budget."""
+    """Rewriting did not reach a normal form within the application budget.
 
-    def __init__(self, ruleset: str, budget: int):
+    ``word`` is the word whose rewrite would have exceeded the budget,
+    ``applications`` the rule applications carried out before it, and
+    ``pending`` the number of other words still waiting to be rewritten.
+    """
+
+    def __init__(self, ruleset: str, budget: int, word: tuple,
+                 applications: int, pending: int):
         super().__init__(
             f"rewrite budget of {budget} rule applications exhausted by rule "
             f"set {ruleset!r} without reaching a normal form; the rule set "
             f"may be non-terminating (or raise the budget via the "
-            f"{PASS_BUDGET_ENV} environment variable)"
+            f"{PASS_BUDGET_ENV} environment variable); stopped while "
+            f"rewriting {'*'.join(_atom_texts(word))} after {applications} "
+            f"applications with {pending} more words pending"
         )
         self.ruleset = ruleset
         self.budget = budget
+        self.word = word
+        self.applications = applications
+        self.pending = pending
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +144,15 @@ class QQi:
         self.im = _frac(im)
 
     # -- helpers ------------------------------------------------------------
+    @classmethod
+    def _of(cls, re: Fraction, im: Fraction) -> "QQi":
+        """Build from parts that are already ``Fraction``s, skipping the
+        coercion and validation of ``__init__``."""
+        q = object.__new__(cls)
+        q.re = re
+        q.im = im
+        return q
+
     @staticmethod
     def _coerce(other) -> "QQi | None":
         if isinstance(other, QQi):
@@ -145,7 +166,7 @@ class QQi:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QQi(self.re + o.re, self.im + o.im)
+        return QQi._of(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
@@ -153,7 +174,7 @@ class QQi:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QQi(self.re - o.re, self.im - o.im)
+        return QQi._of(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -165,15 +186,23 @@ class QQi:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QQi(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b, c, d = self.re, self.im, o.re, o.im
+        # Rule coefficients are mostly purely real or purely imaginary;
+        # the cross products of a zero part are skipped.
+        if not b:
+            return QQi._of(a * c, a * d)
+        if not a:
+            return QQi._of(-(b * d), b * c)
+        if not d:
+            return QQi._of(a * c, b * c)
+        if not c:
+            return QQi._of(-(b * d), a * d)
+        return QQi._of(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return QQi(-self.re, -self.im)
+        return QQi._of(-self.re, -self.im)
 
     def inverse(self) -> "QQi":
         norm = self.re * self.re + self.im * self.im
@@ -949,6 +978,13 @@ def _format_fraction(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _atom_texts(word: tuple) -> list[str]:
+    return [
+        (atom.gen + "^-1") if atom.inv else (atom.gen + "'" * atom.order)
+        for atom in word
+    ]
+
+
 def _format_term(word: tuple, key: ExpKey, c: QQi) -> tuple[int, str]:
     """Return (sign, body) for one printed monomial; body has no leading sign."""
     l, h, a = key
@@ -959,11 +995,7 @@ def _format_term(word: tuple, key: ExpKey, c: QQi) -> tuple[int, str]:
         centrals.append("hbar" if h == 1 else f"hbar^{h}")
     if a:
         centrals.append("alpha" if a == 1 else f"alpha^{a}")
-    atoms = [
-        (atom.gen + "^-1") if atom.inv else (atom.gen + "'" * atom.order)
-        for atom in word
-    ]
-    tail = centrals + atoms
+    tail = centrals + _atom_texts(word)
 
     if c.re and c.im:
         # mixed complex number: keep it intact inside parentheses
@@ -1324,10 +1356,13 @@ def normalize(e: NCExpr, rules: RuleSet | None, budget: int | None = None) -> NC
     """Rewrite to a normal form in which no rule pattern occurs.
 
     Deterministic: pending words are processed smallest-first in the
-    canonical word order.  Every rule application counts against the
-    budget (explicit argument, then the LAXLAB_PASS_BUDGET environment
-    variable, then the rule set's own maximum); exhausting it raises
-    :class:`PassBudgetExhausted` rather than looping forever.
+    canonical word order.  They wait in a heap keyed by that order; each
+    word's key is computed once, when the word enters the pending map, and
+    since the key is injective the words pop in exactly the order of a
+    smallest-word scan over the pending map.  Every rule application counts
+    against the budget (explicit argument, then the LAXLAB_PASS_BUDGET
+    environment variable, then the rule set's own maximum); exhausting it
+    raises :class:`PassBudgetExhausted` rather than looping forever.
     """
     if rules is None:
         return e
@@ -1335,13 +1370,17 @@ def normalize(e: NCExpr, rules: RuleSet | None, budget: int | None = None) -> NC
         raise ContextError("rule set from a different generator context")
     limit = _resolve_budget(rules, budget)
 
+    ctx = e.ctx
     pending: dict[tuple, Scalar] = dict(e.terms)
+    heap = [(_word_key(ctx, w), w) for w in pending]
+    heapq.heapify(heap)
     done: dict[tuple, Scalar] = {}
     applications = 0
-    ctx = e.ctx
-    while pending:
-        word = min(pending, key=lambda w: _word_key(ctx, w))
-        scal = pending.pop(word)
+    while heap:
+        word = heapq.heappop(heap)[1]
+        # A word whose coefficient cancelled, or that was already popped
+        # through a second heap entry, is no longer pending: skip it.
+        scal = pending.pop(word, None)
         if not scal:
             continue
         hit = rules.find(word)
@@ -1353,19 +1392,26 @@ def normalize(e: NCExpr, rules: RuleSet | None, budget: int | None = None) -> NC
             elif acc is not None:
                 del done[word]
             continue
+        if applications == limit:
+            raise PassBudgetExhausted(
+                rules.name, limit, word, applications, len(pending)
+            )
         applications += 1
-        if applications > limit:
-            raise PassBudgetExhausted(rules.name, limit)
         pos, rule = hit
         head, tail = word[:pos], word[pos + 2 :]
         for rword, rscal in rule.replacement.terms.items():
             new_word = head + rword + tail
             add = scal * rscal
             acc = pending.get(new_word)
-            add = add if acc is None else acc + add
+            if acc is None:
+                if add:
+                    pending[new_word] = add
+                    heapq.heappush(heap, (_word_key(ctx, new_word), new_word))
+                continue
+            add = acc + add
             if add:
                 pending[new_word] = add
-            elif acc is not None:
+            else:
                 del pending[new_word]
     result = NCExpr(e.ctx)
     result.terms = done

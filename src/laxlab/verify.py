@@ -98,6 +98,16 @@ def _eq_with(eqs, entry: str, lam_power: int):
     raise KeyError(f"no extracted equation from entry {entry}, lam^{lam_power}")
 
 
+def _lhs_with(eqs, entry: str, lam_power: int) -> NCExpr:
+    """Like ``_eq_with(...).lhs``, but zero when no equation was extracted:
+    extraction skips a residual component that the active rules rewrote
+    to zero."""
+    try:
+        return _eq_with(eqs, entry, lam_power).lhs
+    except KeyError:
+        return NCExpr.zero(CTX)
+
+
 def _mat_str(m: Mat2) -> str:
     parts = [
         f"{k}: {v}"
@@ -448,47 +458,48 @@ def _prop31(negative: bool = False, rules=None) -> _Run:
         )
 
     eqs = extract_equations(residual, label="prop31")
-    e1 = _eq_with(eqs, "11", 0)
-    e2 = _eq_with(eqs, "12", 1)
-    e3 = _eq_with(eqs, "12", 0)
+    e1 = _lhs_with(eqs, "11", 0)
+    e2 = _lhs_with(eqs, "12", 1)
+    e3 = _lhs_with(eqs, "12", 0)
 
     commz = nrm(catalog.build("commutation-zv").lhs)
     if commz.is_zero:
         run.exact_canonical(
-            "diagonal equation under the active rules", e1.lhs,
-            "commutation-zv (rewritten to 4*i*[v,u^2])", _p("4*i*[v,u^2]"),
+            "diagonal equation under the active rules", e1,
+            "commutation-zv (rewritten to 4*i*[v,u^2])",
+            nrm(_p("4*i*[v,u^2]")),
         )
         run.note("Under the quantum-zv rules the commutation relation "
                  "rewrites to zero and the diagonal equation reduces to its "
                  "residual 4*i*[v,u^2] obstruction term.")
     else:
-        run.known_mismatch("diagonal equation", e1.lhs, "commutation-zv",
-                           commz, expected=_p("4*i*[v,u^2]"))
+        run.known_mismatch("diagonal equation", e1, "commutation-zv",
+                           commz, expected=nrm(_p("4*i*[v,u^2]")))
         run.note("The diagonal of the residual reproduces the printed "
                  "commutation relation [z,v] = -(i/2)*hbar*u only modulo "
                  "4*i*[v,u^2]; the relation as printed therefore also "
                  "presumes [v, u^2] = 0.")
     run.unmatched(
-        "lam-linear off-diagonal equation", e2.lhs,
+        "lam-linear off-diagonal equation", e2,
         "The lam-linear equation hbar = 8*i*[u,v] has no printed "
         "counterpart; it is the constraint that makes the lam-linear "
         "parts cancel, and it specializes to the derivative commutation "
         "relation under v = u'.",
     )
-    run.exact_canonical("lam-free off-diagonal equation", e3.lhs,
+    run.exact_canonical("lam-free off-diagonal equation", e3,
                         "qmpii-target-residual",
                         nrm(catalog.build("qmpii-target-residual").lhs))
     run.known_mismatch(
-        "lam-free off-diagonal equation vs printed form", e3.lhs,
+        "lam-free off-diagonal equation vs printed form", e3,
         "qmpii-target-asprinted",
         nrm(catalog.build("qmpii-target-asprinted").lhs),
-        expected=_p("[z,u]_+"),
+        expected=nrm(_p("[z,u]_+")),
     )
     run.known_mismatch(
-        "lam-free off-diagonal equation vs printed sum", e3.lhs,
+        "lam-free off-diagonal equation vs printed sum", e3,
         "qmpii-target-derived",
         nrm(catalog.build("qmpii-target-derived").lhs),
-        expected=_p("[z,u]_+ + 3*[v,u']"),
+        expected=nrm(_p("[z,u]_+ + 3*[v,u']")),
     )
     run.note("Two documented deviations of the printed second-order "
              "equation: the anticommutator (1/2)*[z,u]_+ enters the "
@@ -1213,16 +1224,21 @@ def verify_fn_classical() -> VerificationReport:
     return run("fn-classical")
 
 
-def verify_prop31(rules=None) -> VerificationReport:
+def verify_prop31(rules=None,
+                  negative_control: bool = False) -> VerificationReport:
     """Quantum compatibility pipeline.  ``rules`` optionally supplies a
-    RuleSet under which both the residual and every catalog target are
-    normalized before comparison; adding relation rule sets can only
-    rewrite matched pairs consistently, never break them."""
+    RuleSet under which the residual, every catalog target and every
+    frozen expected difference are normalized before comparison, so a
+    matched pair stays matched and a documented mismatch keeps its
+    (rewritten) difference.  A residual component that the rules rewrite
+    to zero is read as the zero equation.  The free-algebra display
+    audits run only without rules.  ``negative_control`` runs the mutated
+    twin, which must report a discrepancy."""
     if rules is None:
-        return run("prop31")
+        return run("prop31", negative_control=negative_control)
     runner = _Run("prop31")
     try:
-        runner = _prop31(rules=rules)
+        runner = _prop31(negative=negative_control, rules=rules)
     except (LaxlabError, KeyError, IndexError) as exc:
         runner.fail("pipeline execution", f"aborted: {exc}")
     return runner.report()

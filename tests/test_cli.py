@@ -6,11 +6,14 @@ smoke test of the installed entry point.
 
 import csv
 import io
+import itertools
 import json
 import subprocess
 import sys
 
-from laxlab import cli, verify
+import pytest
+
+from laxlab import cli, ncexpr, verify
 
 
 def run_cli(argv, capsys):
@@ -123,6 +126,23 @@ def test_verify_rules_flag_only_for_prop31(capsys):
         ["verify", "--case", "prop31", "--rules", "no-such-rules"], capsys
     )
     assert code == 2
+
+
+_RULE_SELECTIONS = [(name,) for name in ncexpr.BUILTIN_RULESET_NAMES] + list(
+    itertools.combinations(ncexpr.BUILTIN_RULESET_NAMES, 2))
+
+
+@pytest.mark.parametrize("names", _RULE_SELECTIONS, ids="+".join)
+def test_verify_prop31_under_every_rule_selection(capsys, names):
+    argv = ["verify", "--case", "prop31", "--format", "json"]
+    for name in names:
+        argv += ["--rules", name]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0, out
+    assert json.loads(out)["status"] == verify.VERIFIED_WITH_NOTES
+    code, out, _ = run_cli(argv + ["--negative-control"], capsys)
+    assert code == 1
+    assert json.loads(out)["status"] == verify.DISCREPANCY
 
 
 def test_every_negative_control_exits_one_in_process(capsys):

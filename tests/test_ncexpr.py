@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laxlab.ncexpr import (
     BUILTIN_RULESET_NAMES,
@@ -73,6 +74,27 @@ def test_gaussian_rational_arithmetic():
     assert P("(1/2 - (1/3)*i) * i") == NCExpr.scalar(a * b, CTX)
     assert P("i*i") == P("-1")
     assert P("i*i*i*i") == P("1")
+
+
+_PARTS = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+)
+_QQIS = st.builds(QQi, _PARTS, _PARTS)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_QQIS, _QQIS)
+def test_property_qqi_fast_paths_match_full_formula(x, y):
+    a, b, c, d = x.re, x.im, y.re, y.im
+    for got, re, im in (
+        (x * y, a * c - b * d, a * d + b * c),
+        (x + y, a + c, b + d),
+        (x - y, a - c, b - d),
+        (-x, -a, -b),
+    ):
+        assert (got.re, got.im) == (re, im)
+        assert type(got.re) is Fraction and type(got.im) is Fraction
 
 
 def test_scalar_macros():
@@ -304,6 +326,104 @@ def test_combine_rulesets():
     assert normalize(P("[z,v] + (i/2)*hbar*u + p*p^-1 - 1"), rs).is_zero
 
 
+def _word_order_key(word: tuple) -> tuple:
+    return (len(word),
+            tuple((CTX.index(a.gen), a.order, int(a.inv)) for a in word))
+
+
+def _min_scan_normalize(e: NCExpr, rules: RuleSet) -> NCExpr:
+    """Reference normalizer: rescan the pending words for the smallest one
+    before every step."""
+    pending, done = dict(e.terms), {}
+    while pending:
+        word = min(pending, key=_word_order_key)
+        scal = pending.pop(word)
+        hit = rules.find(word)
+        if hit is None:
+            target, items = done, [(word, scal)]
+        else:
+            pos, rule = hit
+            target = pending
+            items = [(word[:pos] + rword + word[pos + 2:], scal * rscal)
+                     for rword, rscal in rule.replacement.terms.items()]
+        for w, s in items:
+            total = target[w] + s if w in target else s
+            if total:
+                target[w] = total
+            else:
+                target.pop(w, None)
+    return NCExpr(CTX, done)
+
+
+class _RecordingRuleSet(RuleSet):
+    """A rule set that records every word it is asked to match."""
+
+    def __init__(self, base: RuleSet):
+        super().__init__(base.name, base.rules, base.max_passes, base.ctx)
+        self.seen = []
+
+    def find(self, word):
+        self.seen.append(word)
+        return super().find(word)
+
+
+def _uphill_rules() -> RuleSet:
+    """Rules whose results are larger than their patterns, so a rewrite can
+    cancel a word that is still pending and a later rewrite can add it
+    again: z*u -> u*z and z*v -> u*z - hbar*v (terminating: z only moves
+    right)."""
+    z, u, v = (NCExpr.gen(g, ctx=CTX) for g in "zuv")
+    return RuleSet("uphill", (
+        Rule((Atom("z"), Atom("u")), u * z),
+        Rule((Atom("z"), Atom("v")), u * z - NCExpr.hbar(ctx=CTX) * v),
+    ), ctx=CTX)
+
+
+def _assert_same_as_min_scan(e: NCExpr, rules: RuleSet) -> NCExpr:
+    heap_run, scan_run = _RecordingRuleSet(rules), _RecordingRuleSet(rules)
+    got = normalize(e, heap_run)
+    assert got == _min_scan_normalize(e, scan_run)
+    assert heap_run.seen == scan_run.seen
+    return got
+
+
+_ATOMS = st.sampled_from(
+    [Atom("z")] + [Atom(g, k) for g in "uv" for k in range(3)]
+    + [Atom(g) for g in "pqr"] + [Atom(g, 0, True) for g in "pq"]
+)
+_COEFFS = st.sampled_from(("1", "-1", "2", "-1/2", "i", "(1-i)", "hbar",
+                           "i*hbar", "lam", "alpha"))
+_SUMS = st.lists(
+    st.tuples(_COEFFS, st.lists(_ATOMS, max_size=2).map(tuple)),
+    min_size=1, max_size=4,
+).map(lambda terms: NCExpr(CTX, {w: P(c).terms[()] for c, w in terms}))
+# Powers of a small sum contain words in several orders at once (u*z and
+# z*u), so rewrites often land on words that are pending or already final.
+_EXPRS = st.builds(lambda a, k, b: a ** k * b, _SUMS, st.integers(1, 3), _SUMS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXPRS, st.sampled_from(BUILTIN_RULESET_NAMES + ("uphill",)))
+def test_property_normalize_matches_min_scan(e, name):
+    rules = _uphill_rules() if name == "uphill" else builtin_ruleset(name)
+    _assert_same_as_min_scan(e, rules)
+
+
+def test_normalize_cancel_then_readd():
+    # z*u cancels the pending u*z; z*v then adds it back.
+    got = _assert_same_as_min_scan(P("z*u + z*v - u*z"), _uphill_rules())
+    assert got == P("u*z - hbar*v")
+
+
+def test_normalize_repeated_final_word():
+    # z*u and u are final before u*z rewrites into both of them again.
+    rs = builtin_ruleset("quantum-zu")
+    assert _assert_same_as_min_scan(
+        P("u*z + 2*z*u + 3*u"), rs) == P("3*z*u + (3 + i/2*hbar)*u")
+    assert _assert_same_as_min_scan(
+        P("u*z - z*u - (i/2)*hbar*u"), rs).is_zero
+
+
 def test_pass_budget_exhaustion():
     rs = builtin_ruleset("quantum-zu")
     # u^k z^k needs many passes; a budget of 1 cannot finish
@@ -311,6 +431,23 @@ def test_pass_budget_exhaustion():
     with pytest.raises(PassBudgetExhausted):
         normalize(e, rs, budget=1)
     assert normalize(e, rs, budget=DEFAULT_PASS_BUDGET) == normalize(e, rs)
+
+
+def test_pass_budget_error_names_word_and_counts():
+    rs = builtin_ruleset("quantum-zu")
+    with pytest.raises(PassBudgetExhausted) as info:
+        normalize(P("u*z*u*z*u*z"), rs, budget=1)
+    err = info.value
+    assert (err.ruleset, err.budget) == ("quantum-zu", 1)
+    # u*z*u*z*u*z -> z*u*u*z*u*z + (i/2)*hbar*u*u*z*u*z; the smaller
+    # second word is next, and it would need a second application.
+    assert err.word == P("u*u*z*u*z").min_word()
+    assert (err.applications, err.pending) == (1, 1)
+    assert str(err).startswith(
+        "rewrite budget of 1 rule applications exhausted by rule set "
+        "'quantum-zu' without reaching a normal form")
+    assert "rewriting u*u*z*u*z after 1 applications with 1 more words " \
+        "pending" in str(err)
 
 
 def test_pass_budget_env_override(monkeypatch):
