@@ -29,14 +29,9 @@ from .ncexpr import (
     Scalar,
     anticommutator,
     builtin_ruleset,
-    classical_limit,
     commutator,
-    d_dlambda,
-    d_dz,
     normalize,
     parse,
-    scalarize,
-    substitute,
 )
 
 __version__ = "0.1.0"
@@ -55,13 +50,8 @@ __all__ = [
     "Scalar",
     "anticommutator",
     "builtin_ruleset",
-    "classical_limit",
     "commutator",
-    "d_dlambda",
-    "d_dz",
     "normalize",
     "parse",
-    "scalarize",
-    "substitute",
     "__version__",
 ]

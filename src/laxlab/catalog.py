@@ -648,19 +648,6 @@ MANIFEST: tuple[str, ...] = (
     "dpii-first-integral",
 )
 
-# Displays that are recomputed inside verification pipelines rather than
-# stored as independent catalog entries (proof intermediates).
-PIPELINE_COVERED: tuple[str, ...] = (
-    "z-derivative display of the quantum spectral member",
-    "spectral derivative display of the quantum z-member",
-    "combined derivative-difference matrix display",
-    "commutator matrix display with its two off-diagonal entries",
-    "lambda-graded off-diagonal equations carrying -/+ lam*hbar",
-    "case-ii intermediate derivative displays (two steps)",
-    "q-side inversion chain (mirror of the recorded p-side displays)",
-)
-
-
 def keys() -> tuple[str, ...]:
     return MANIFEST
 

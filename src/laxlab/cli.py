@@ -47,17 +47,22 @@ def _status_code(status: str) -> int:
     return 1 if status == verify.DISCREPANCY else 0
 
 
+def _ruleset(names):
+    """The rule set named by the repeated ``--rules`` option, if any."""
+    if not names:
+        return None
+    sets = [builtin_ruleset(name) for name in names]
+    return sets[0] if len(sets) == 1 else combine_rulesets(
+        "+".join(names), *sets
+    )
+
+
 def _cmd_verify(args) -> int:
-    rules = None
-    if args.rules:
-        if args.case != "prop31":
-            print("error: --rules applies only to --case prop31",
-                  file=sys.stderr)
-            return 2
-        sets = [builtin_ruleset(name) for name in args.rules]
-        rules = sets[0] if len(sets) == 1 else combine_rulesets(
-            "+".join(args.rules), *sets
-        )
+    if args.rules and args.case != "prop31":
+        print("error: --rules applies only to --case prop31",
+              file=sys.stderr)
+        return 2
+    rules = _ruleset(args.rules)
     if args.case == "all":
         reports = verify.run_all(negative_control=args.negative_control)
         if args.format == "json":
@@ -115,12 +120,7 @@ def _cmd_reduce(args) -> int:
         subs = {"v": NCExpr.gen("u", ctx=CTX)}
     elif args.v_zero:
         subs = {"v": NCExpr.zero(CTX)}
-    rules = None
-    if args.rules:
-        sets = [builtin_ruleset(name) for name in args.rules]
-        rules = sets[0] if len(sets) == 1 else combine_rulesets(
-            "+".join(args.rules), *sets
-        )
+    rules = _ruleset(args.rules)
 
     def reduce_expr(e: NCExpr) -> NCExpr:
         if subs is not None:

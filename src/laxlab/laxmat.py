@@ -24,7 +24,6 @@ from .ncexpr import (
     NCExpr,
     QQi,
     RuleSet,
-    Scalar,
     normalize,
 )
 

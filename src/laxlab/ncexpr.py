@@ -28,9 +28,9 @@ from __future__ import annotations
 import heapq
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 __all__ = [
     "LaxlabError",
@@ -52,11 +52,6 @@ __all__ = [
     "parse",
     "commutator",
     "anticommutator",
-    "d_dz",
-    "d_dlambda",
-    "substitute",
-    "classical_limit",
-    "scalarize",
     "builtin_ruleset",
     "BUILTIN_RULESET_NAMES",
     "DEFAULT_PASS_BUDGET",
@@ -121,6 +116,17 @@ class PassBudgetExhausted(LaxlabError):
         self.word = word
         self.applications = applications
         self.pending = pending
+
+
+def _add_into(out: dict, key, val) -> None:
+    """Add ``val`` into ``out[key]``, dropping the entry when the sum is zero."""
+    acc = out.get(key)
+    if acc is not None:
+        val = acc + val
+    if val:
+        out[key] = val
+    elif acc is not None:
+        del out[key]
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +278,18 @@ class Scalar:
                     )
                 if not isinstance(val, QQi):
                     val = QQi(val)
-                key = (int(l), int(h), int(a))
-                acc = clean.get(key)
-                val = val if acc is None else acc + val
-                if val:
-                    clean[key] = val
-                elif acc is not None:
-                    del clean[key]
+                _add_into(clean, (int(l), int(h), int(a)), val)
         self.terms = clean
 
     # -- constructors ---------------------------------------------------------
+    @classmethod
+    def _of(cls, terms: dict[ExpKey, QQi]) -> "Scalar":
+        """Wrap a term map that already holds no zero values, skipping the
+        validation of ``__init__``."""
+        s = object.__new__(cls)
+        s.terms = terms
+        return s
+
     @classmethod
     def zero(cls) -> "Scalar":
         return cls()
@@ -309,23 +317,14 @@ class Scalar:
             return NotImplemented
         out = dict(self.terms)
         for key, val in other.terms.items():
-            acc = out.get(key)
-            val = val if acc is None else acc + val
-            if val:
-                out[key] = val
-            elif acc is not None:
-                del out[key]
-        result = Scalar()
-        result.terms = out
-        return result
+            _add_into(out, key, val)
+        return Scalar._of(out)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __neg__(self) -> "Scalar":
-        result = Scalar()
-        result.terms = {k: -v for k, v in self.terms.items()}
-        return result
+        return Scalar._of({k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
@@ -333,24 +332,13 @@ class Scalar:
         out: dict[ExpKey, QQi] = {}
         for (l1, h1, a1), c1 in self.terms.items():
             for (l2, h2, a2), c2 in other.terms.items():
-                key = (l1 + l2, h1 + h2, a1 + a2)
-                val = c1 * c2
-                acc = out.get(key)
-                val = val if acc is None else acc + val
-                if val:
-                    out[key] = val
-                elif acc is not None:
-                    del out[key]
-        result = Scalar()
-        result.terms = out
-        return result
+                _add_into(out, (l1 + l2, h1 + h2, a1 + a2), c1 * c2)
+        return Scalar._of(out)
 
     def mul_qqi(self, c: QQi) -> "Scalar":
         if not c:
             return Scalar()
-        result = Scalar()
-        result.terms = {k: v * c for k, v in self.terms.items()}
-        return result
+        return Scalar._of({k: v * c for k, v in self.terms.items()})
 
     # -- queries ----------------------------------------------------------------
     def __eq__(self, other):
@@ -384,14 +372,10 @@ class Scalar:
         for (l, h, a), c in self.terms.items():
             if l != 0:
                 out[(l - 1, h, a)] = c * l
-        result = Scalar()
-        result.terms = out
-        return result
+        return Scalar._of(out)
 
     def classical_limit(self) -> "Scalar":
-        result = Scalar()
-        result.terms = {k: v for k, v in self.terms.items() if k[1] == 0}
-        return result
+        return Scalar._of({k: v for k, v in self.terms.items() if k[1] == 0})
 
     def bind_alpha(self, value: QQi) -> "Scalar":
         out: dict[ExpKey, QQi] = {}
@@ -399,23 +383,13 @@ class Scalar:
             v = c
             for _ in range(a):
                 v = v * value
-            key = (l, h, 0)
-            acc = out.get(key)
-            v = v if acc is None else acc + v
-            if v:
-                out[key] = v
-            elif acc is not None:
-                del out[key]
-        result = Scalar()
-        result.terms = out
-        return result
+            _add_into(out, (l, h, 0), v)
+        return Scalar._of(out)
 
     def negate_alpha(self) -> "Scalar":
-        result = Scalar()
-        result.terms = {
+        return Scalar._of({
             k: (v if k[2] % 2 == 0 else -v) for k, v in self.terms.items()
-        }
-        return result
+        })
 
     def __repr__(self):
         return f"Scalar({self.terms!r})"
@@ -514,18 +488,20 @@ class NCExpr:
             for word, scal in terms.items():
                 if not isinstance(scal, Scalar):
                     scal = Scalar.from_value(scal)
-                if not scal:
-                    continue
-                acc = clean.get(word)
-                scal = scal if acc is None else acc + scal
-                if scal:
-                    clean[word] = scal
-                elif acc is not None:
-                    del clean[word]
+                _add_into(clean, word, scal)
         self.ctx = ctx
         self.terms = clean
 
     # -- constructors -----------------------------------------------------------
+    @classmethod
+    def _of(cls, ctx: GenContext, terms: dict[tuple, Scalar]) -> "NCExpr":
+        """Wrap a term map that already holds no zero coefficients, skipping
+        the validation of ``__init__``."""
+        e = object.__new__(cls)
+        e.ctx = ctx
+        e.terms = terms
+        return e
+
     @classmethod
     def zero(cls, ctx: GenContext = DEFAULT_CONTEXT) -> "NCExpr":
         return cls(ctx)
@@ -590,15 +566,8 @@ class NCExpr:
         self._require_same_ctx(o)
         out = dict(self.terms)
         for word, scal in o.terms.items():
-            acc = out.get(word)
-            scal = scal if acc is None else acc + scal
-            if scal:
-                out[word] = scal
-            elif acc is not None:
-                del out[word]
-        result = NCExpr(self.ctx)
-        result.terms = out
-        return result
+            _add_into(out, word, scal)
+        return NCExpr._of(self.ctx, out)
 
     __radd__ = __add__
 
@@ -615,9 +584,7 @@ class NCExpr:
         return o + (-self)
 
     def __neg__(self):
-        result = NCExpr(self.ctx)
-        result.terms = {w: -s for w, s in self.terms.items()}
-        return result
+        return NCExpr._of(self.ctx, {w: -s for w, s in self.terms.items()})
 
     def __mul__(self, other):
         o = self._coerce(other, self.ctx)
@@ -627,17 +594,8 @@ class NCExpr:
         out: dict[tuple, Scalar] = {}
         for w1, s1 in self.terms.items():
             for w2, s2 in o.terms.items():
-                word = w1 + w2
-                scal = s1 * s2
-                acc = out.get(word)
-                scal = scal if acc is None else acc + scal
-                if scal:
-                    out[word] = scal
-                elif acc is not None:
-                    del out[word]
-        result = NCExpr(self.ctx)
-        result.terms = out
-        return result
+                _add_into(out, w1 + w2, s1 * s2)
+        return NCExpr._of(self.ctx, out)
 
     def __rmul__(self, other):
         o = self._coerce(other, self.ctx)
@@ -654,14 +612,12 @@ class NCExpr:
 
     def scalar_mul(self, value) -> "NCExpr":
         scal = Scalar.from_value(value)
-        result = NCExpr(self.ctx)
         out = {}
         for w, s in self.terms.items():
             prod = s * scal
             if prod:
                 out[w] = prod
-        result.terms = out
-        return result
+        return NCExpr._of(self.ctx, out)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -704,30 +660,18 @@ class NCExpr:
     # -- calculus ---------------------------------------------------------------
     def d_dz(self) -> "NCExpr":
         out: dict[tuple, Scalar] = {}
-
-        def bump(word: tuple, scal: Scalar) -> None:
-            if not scal:
-                return
-            acc = out.get(word)
-            scal = scal if acc is None else acc + scal
-            if scal:
-                out[word] = scal
-            elif acc is not None:
-                del out[word]
-
         for word, scal in self.terms.items():
             for i, atom in enumerate(word):
                 head, tail = word[:i], word[i + 1 :]
                 if atom.inv:
                     mid = (atom, Atom(atom.gen, 1, False), atom)
-                    bump(head + mid + tail, -scal)
+                    _add_into(out, head + mid + tail, -scal)
                 elif atom.gen == "z":
-                    bump(head + tail, scal)
+                    _add_into(out, head + tail, scal)
                 else:
-                    bump(head + (Atom(atom.gen, atom.order + 1, False),) + tail, scal)
-        result = NCExpr(self.ctx)
-        result.terms = out
-        return result
+                    mid = (Atom(atom.gen, atom.order + 1, False),)
+                    _add_into(out, head + mid + tail, scal)
+        return NCExpr._of(self.ctx, out)
 
     def d_dlambda(self) -> "NCExpr":
         out = {}
@@ -735,9 +679,7 @@ class NCExpr:
             d = scal.d_dlambda()
             if d:
                 out[word] = d
-        result = NCExpr(self.ctx)
-        result.terms = out
-        return result
+        return NCExpr._of(self.ctx, out)
 
     # -- substitution --------------------------------------------------------------
     def substitute(self, mapping: Mapping[str, "NCExpr"]) -> "NCExpr":
@@ -833,9 +775,7 @@ class NCExpr:
             s = scal.classical_limit()
             if s:
                 out[word] = s
-        result = NCExpr(self.ctx)
-        result.terms = out
-        return result
+        return NCExpr._of(self.ctx, out)
 
     def scalarize(self) -> "NCExpr":
         """Project onto the commutative quotient.
@@ -857,16 +797,8 @@ class NCExpr:
                     continue
                 inv = count < 0
                 new_word.extend(Atom(gen, order, inv) for _ in range(abs(count)))
-            key_word = tuple(new_word)
-            acc = out.get(key_word)
-            scal = scal if acc is None else acc + scal
-            if scal:
-                out[key_word] = scal
-            elif acc is not None:
-                del out[key_word]
-        result = NCExpr(self.ctx)
-        result.terms = out
-        return result
+            _add_into(out, tuple(new_word), scal)
+        return NCExpr._of(self.ctx, out)
 
     # -- structural transforms -----------------------------------------------------
     def split_lambda(self) -> dict[int, "NCExpr"]:
@@ -874,21 +806,9 @@ class NCExpr:
         buckets: dict[int, dict[tuple, Scalar]] = {}
         for word, scal in self.terms.items():
             for (l, h, a), c in scal.terms.items():
-                b = buckets.setdefault(l, {})
-                add = Scalar.mono(c, hbar=h, alpha=a)
-                acc = b.get(word)
-                add = add if acc is None else acc + add
-                if add:
-                    b[word] = add
-                elif acc is not None:
-                    del b[word]
-        out: dict[int, NCExpr] = {}
-        for l, terms in buckets.items():
-            e = NCExpr(self.ctx)
-            e.terms = {w: s for w, s in terms.items() if s}
-            if e.terms:
-                out[l] = e
-        return out
+                _add_into(buckets.setdefault(l, {}), word,
+                          Scalar.mono(c, hbar=h, alpha=a))
+        return {l: NCExpr._of(self.ctx, terms) for l, terms in buckets.items()}
 
     def bind_alpha(self, value) -> "NCExpr":
         v = value if isinstance(value, QQi) else QQi(value)
@@ -897,14 +817,12 @@ class NCExpr:
             s = scal.bind_alpha(v)
             if s:
                 out[word] = s
-        result = NCExpr(self.ctx)
-        result.terms = out
-        return result
+        return NCExpr._of(self.ctx, out)
 
     def negate_alpha(self) -> "NCExpr":
-        result = NCExpr(self.ctx)
-        result.terms = {w: s.negate_alpha() for w, s in self.terms.items()}
-        return result
+        return NCExpr._of(
+            self.ctx, {w: s.negate_alpha() for w, s in self.terms.items()}
+        )
 
     def reflect_z(self) -> "NCExpr":
         """The image under z -> -z with fields transported by the chain rule.
@@ -920,14 +838,8 @@ class NCExpr:
                 if atom.gen == "z" and not atom.inv:
                     sign += 1
                 sign += atom.order
-            s = scal if sign % 2 == 0 else -scal
-            acc = out.get(word)
-            s = s if acc is None else acc + s
-            if s:
-                out[word] = s
-        result = NCExpr(self.ctx)
-        result.terms = out
-        return result
+            out[word] = scal if sign % 2 == 0 else -scal
+        return NCExpr._of(self.ctx, out)
 
     def canonical_with_scale(self) -> tuple["NCExpr", QQi]:
         """Divide by the Gaussian-rational of the minimal word's minimal
@@ -1385,12 +1297,7 @@ def normalize(e: NCExpr, rules: RuleSet | None, budget: int | None = None) -> NC
             continue
         hit = rules.find(word)
         if hit is None:
-            acc = done.get(word)
-            scal = scal if acc is None else acc + scal
-            if scal:
-                done[word] = scal
-            elif acc is not None:
-                del done[word]
+            _add_into(done, word, scal)
             continue
         if applications == limit:
             raise PassBudgetExhausted(
@@ -1413,13 +1320,11 @@ def normalize(e: NCExpr, rules: RuleSet | None, budget: int | None = None) -> NC
                 pending[new_word] = add
             else:
                 del pending[new_word]
-    result = NCExpr(e.ctx)
-    result.terms = done
-    return result
+    return NCExpr._of(e.ctx, done)
 
 
 # ---------------------------------------------------------------------------
-# Functional conveniences mirroring the method API
+# Functional conveniences
 # ---------------------------------------------------------------------------
 
 
@@ -1429,26 +1334,6 @@ def commutator(a: NCExpr, b: NCExpr) -> NCExpr:
 
 def anticommutator(a: NCExpr, b: NCExpr) -> NCExpr:
     return a * b + b * a
-
-
-def d_dz(e: NCExpr) -> NCExpr:
-    return e.d_dz()
-
-
-def d_dlambda(e: NCExpr) -> NCExpr:
-    return e.d_dlambda()
-
-
-def substitute(e: NCExpr, mapping: Mapping[str, NCExpr]) -> NCExpr:
-    return e.substitute(mapping)
-
-
-def classical_limit(e: NCExpr) -> NCExpr:
-    return e.classical_limit()
-
-
-def scalarize(e: NCExpr) -> NCExpr:
-    return e.scalarize()
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,11 @@ entrywise, which is the scalar image of the anticommutator (1/2)*[z, u]_+.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -52,6 +53,8 @@ def _as_matrix(value, n: int, name: str) -> np.ndarray:
         a = np.asarray(value, dtype=complex)
     except (TypeError, ValueError) as exc:
         raise NumericError(f"{name} is not a complex matrix: {exc}") from None
+    if not np.all(np.isfinite(a)):
+        raise NumericError(f"{name} has non-finite entries")
     if a.ndim == 0:
         a = a * np.eye(n, dtype=complex)
     if a.shape != (n, n):
@@ -87,8 +90,14 @@ class ODEProblem:
             raise NumericError("n must be an integer >= 1")
         if self.grid_points < 9:
             raise NumericError("grid_points must be at least 9")
+        for name in ("z0", "z1", "alpha"):
+            if not cmath.isfinite(complex(getattr(self, name))):
+                raise NumericError(f"{name} must be finite")
         if float(self.z0) == float(self.z1):
             raise NumericError("empty integration span")
+        for name in ("rtol", "atol"):
+            if not 0 < float(getattr(self, name)) < math.inf:
+                raise NumericError(f"{name} must be a positive finite number")
         self.alpha = complex(self.alpha)
         self.u0 = _as_matrix(self.u0, self.n, "u0")
         self.du0 = _as_matrix(self.du0, self.n, "du0")
@@ -160,16 +169,15 @@ def _pack(problem: ODEProblem) -> np.ndarray:
     return np.concatenate([flat.real, flat.imag])
 
 
-def _solve(problem: ODEProblem, grid: np.ndarray, rtol: float,
-           atol: float) -> np.ndarray:
+def _solve(problem: ODEProblem, grid: np.ndarray) -> np.ndarray:
     sol = solve_ivp(
         _flow(problem),
         (float(problem.z0), float(problem.z1)),
         _pack(problem),
         method="DOP853",
         t_eval=grid,
-        rtol=rtol,
-        atol=atol,
+        rtol=problem.rtol,
+        atol=problem.atol,
         events=[_pole_event(problem)],
     )
     if sol.status == 1:
@@ -237,7 +245,6 @@ class Trajectory:
     grid: np.ndarray
     states: np.ndarray       # (G, depth, n, n) complex
     fd_residual: np.ndarray  # (G,) float; NaN where the stencil hangs over
-    est_error: np.ndarray    # (G,) float; gap to a tighter-tolerance rerun
 
     @property
     def u(self) -> np.ndarray:
@@ -255,9 +262,6 @@ class Trajectory:
 
     def max_fd_residual(self) -> float:
         return float(np.nanmax(self.fd_residual))
-
-    def max_est_error(self) -> float:
-        return float(np.max(self.est_error))
 
     def to_csv(self) -> str:
         names = ["u", "du", "ddu"][: self.states.shape[1]]
@@ -287,12 +291,9 @@ class Trajectory:
 def integrate(problem: ODEProblem) -> Trajectory:
     grid = np.linspace(float(problem.z0), float(problem.z1),
                        problem.grid_points)
-    states = _solve(problem, grid, problem.rtol, problem.atol)
-    tight = _solve(problem, grid, max(problem.rtol * 1e-2, 3e-14),
-                   max(problem.atol * 1e-2, 1e-15))
-    est = np.max(np.abs(states - tight).reshape(len(grid), -1), axis=1)
-    res = _fd_residual(problem, grid, states)
-    return Trajectory(problem, grid, states, res, est)
+    states = _solve(problem, grid)
+    return Trajectory(problem, grid, states,
+                      _fd_residual(problem, grid, states))
 
 
 def p34_map_check(alpha, ic, span=(1.0, 2.5), rtol=1e-12,

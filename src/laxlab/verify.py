@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .ncexpr import (
@@ -1200,6 +1200,16 @@ _PIPELINES = {
 assert tuple(_PIPELINES) == CASES
 
 
+def _guarded(case: str, pipeline, **options) -> VerificationReport:
+    """Run a pipeline; an internal failure becomes a discrepancy."""
+    runner = _Run(case)
+    try:
+        runner = pipeline(**options)
+    except (LaxlabError, KeyError, IndexError) as exc:
+        runner.fail("pipeline execution", f"aborted: {exc}")
+    return runner.report()
+
+
 def run(case: str, negative_control: bool = False) -> VerificationReport:
     """Run one pipeline and return its report.  Any internal failure is
     itself a discrepancy, never an unhandled crash."""
@@ -1208,12 +1218,7 @@ def run(case: str, negative_control: bool = False) -> VerificationReport:
             f"unknown verification case {case!r}; expected one of "
             f"{', '.join(CASES)}"
         )
-    runner = _Run(case)
-    try:
-        runner = _PIPELINES[case](negative=negative_control)
-    except (LaxlabError, KeyError, IndexError) as exc:
-        runner.fail("pipeline execution", f"aborted: {exc}")
-    return runner.report()
+    return _guarded(case, _PIPELINES[case], negative=negative_control)
 
 
 def run_all(negative_control: bool = False) -> list:
@@ -1234,14 +1239,8 @@ def verify_prop31(rules=None,
     to zero is read as the zero equation.  The free-algebra display
     audits run only without rules.  ``negative_control`` runs the mutated
     twin, which must report a discrepancy."""
-    if rules is None:
-        return run("prop31", negative_control=negative_control)
-    runner = _Run("prop31")
-    try:
-        runner = _prop31(negative=negative_control, rules=rules)
-    except (LaxlabError, KeyError, IndexError) as exc:
-        runner.fail("pipeline execution", f"aborted: {exc}")
-    return runner.report()
+    return _guarded("prop31", _prop31, negative=negative_control,
+                    rules=rules)
 
 
 def verify_case(case: str) -> VerificationReport:

@@ -8,11 +8,13 @@ import csv
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import laxlab
 from laxlab import cli, ncexpr, verify
 
 
@@ -227,6 +229,8 @@ def test_integrate_validation_exits_two(capsys):
     assert code == 2
     code, _, err = run_cli(["integrate", "dpii3"], capsys)
     assert code == 2 and "u''" in err
+    code, out, err = run_cli(["integrate", "pii", "--u0=nanj"], capsys)
+    assert code == 2 and out == "" and "error:" in err
 
 
 def test_integrate_pole_exits_one(capsys):
@@ -275,21 +279,26 @@ def test_catalog_show_pair(capsys):
 # the one real subprocess smoke test
 # ---------------------------------------------------------------------------
 def test_subprocess_entry_point():
+    # The child interpreter must import the same laxlab as this process,
+    # whether it comes from an install or from pytest's ``pythonpath``.
+    package_root = os.path.dirname(os.path.dirname(laxlab.__file__))
+    path = filter(None, [package_root, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     ok = subprocess.run(
         [sys.executable, "-m", "laxlab.cli", "verify", "--case",
          "fn-classical"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert ok.returncode == 0, ok.stderr
     assert ok.stdout.startswith("case: fn-classical")
     bad = subprocess.run(
         [sys.executable, "-m", "laxlab.cli", "verify", "--case",
          "fn-classical", "--negative-control"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert bad.returncode == 1
     usage = subprocess.run(
         [sys.executable, "-m", "laxlab.cli", "verify", "--case", "nope"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert usage.returncode == 2

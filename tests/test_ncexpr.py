@@ -409,6 +409,42 @@ def test_property_normalize_matches_min_scan(e, name):
     _assert_same_as_min_scan(e, rules)
 
 
+_SIGNED_COEFFS = st.sampled_from(("1", "-1", "2", "-1/2", "i", "-i", "hbar",
+                                  "-hbar", "(1 + hbar)", "(alpha - 1/2)",
+                                  "-alpha", "lam", "lam^-1"))
+# Built by addition, so equal words meet and their coefficients cancel in
+# whole (u - u) or in part ((1 + hbar)*u - u).
+_CANCELLING_SUMS = st.lists(
+    st.tuples(_SIGNED_COEFFS, st.lists(_ATOMS, max_size=2).map(tuple)),
+    min_size=1, max_size=5,
+).map(lambda terms: sum((P(c) * NCExpr(CTX, {w: 1}) for c, w in terms),
+                        NCExpr.zero(CTX)))
+
+
+def _assert_no_stored_zero(e: NCExpr) -> None:
+    for scal in e.terms.values():
+        assert scal.terms, "zero Scalar stored in NCExpr.terms"
+        assert all(scal.terms.values()), "zero QQi stored in Scalar.terms"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CANCELLING_SUMS, _CANCELLING_SUMS,
+       st.sampled_from(BUILTIN_RULESET_NAMES))
+def test_property_no_zero_is_stored(e, f, name):
+    rules = builtin_ruleset(name)
+    assert (e - e).is_zero and (e * f - e * f).is_zero
+    assert (e * f - f * e).scalarize().is_zero
+    results = [
+        e + f, e - f, e * f, e * f - f * e, e.d_dz(), (e * f).d_dz(),
+        (e * f).scalarize(), (e * f).reflect_z(),
+        *(e * f).split_lambda().values(),
+        *(e.bind_alpha(v) for v in (0, Fraction(1, 2), -1)),
+        normalize(e * f, rules), normalize(e * f - f * e, rules),
+    ]
+    for r in results:
+        _assert_no_stored_zero(r)
+
+
 def test_normalize_cancel_then_readd():
     # z*u cancels the pending u*z; z*v then adds it back.
     got = _assert_same_as_min_scan(P("z*u + z*v - u*z"), _uphill_rules())

@@ -143,6 +143,24 @@ def test_problem_validation():
         ODEProblem("dpii3")  # needs ddu0
 
 
+@pytest.mark.parametrize("bad", [
+    {"z0": float("nan")},
+    {"z1": float("inf")},
+    {"alpha": complex("nanj")},
+    {"u0": complex("nanj")},
+    {"du0": float("-inf")},
+    {"rhs": "matrix-pii", "n": 2, "u0": [[0.1, float("nan")], [0.0, 0.1]]},
+    {"rhs": "dpii3", "ddu0": float("inf")},
+    {"rtol": 0.0, "atol": 0.0},
+    {"rtol": -1.0},
+    {"atol": -1e-12},
+    {"rtol": float("nan")},
+])
+def test_problem_rejects_non_finite_data_and_bad_tolerances(bad):
+    with pytest.raises(NumericError):
+        ODEProblem(**{"rhs": "pii", **bad})
+
+
 def test_pole_detection_reports_location():
     with pytest.raises(PoleEncountered) as err:
         integrate(ODEProblem("p34", alpha=0.7, u0=0.3, du0=-0.2,
