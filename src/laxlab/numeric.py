@@ -5,7 +5,8 @@ third-order flow (``dpii3``) for N x N complex matrix unknowns along a real
 interval, then audits every trajectory with finite-difference residuals that
 are computed independently of the integrator: the sampled values of u alone
 are differenced with high-order central stencils and compared against the
-right-hand side.
+right-hand side.  The audit is computed over the whole grid at once: one
+matrix product per stencil, one right-hand-side evaluation per residual.
 
 Conventions (matching the symbolic catalog):
 
@@ -27,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import solve_ivp
 
 from .ncexpr import LaxlabError
@@ -35,6 +37,7 @@ POLE_THRESHOLD = 1e8
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 DEFAULT_GRID = 161
+RTOL_FLOOR = 100 * np.finfo(float).eps  # the smallest rtol solve_ivp honours
 
 RHS_IDS = ("pii", "p34", "matrix-pii", "dpii3")
 
@@ -98,6 +101,9 @@ class ODEProblem:
         for name in ("rtol", "atol"):
             if not 0 < float(getattr(self, name)) < math.inf:
                 raise NumericError(f"{name} must be a positive finite number")
+        if float(self.rtol) < RTOL_FLOOR:
+            # scipy would raise it to the floor with only a warning
+            raise NumericError(f"rtol must be at least {RTOL_FLOOR:.3g}")
         self.alpha = complex(self.alpha)
         self.u0 = _as_matrix(self.u0, self.n, "u0")
         self.du0 = _as_matrix(self.du0, self.n, "du0")
@@ -112,39 +118,46 @@ class ODEProblem:
     def depth(self) -> int:
         return 3 if self.rhs == "dpii3" else 2
 
+    @property
+    def alpha_eye(self) -> np.ndarray:
+        return self.alpha * np.eye(self.n, dtype=complex)
 
-def _second_rhs(rhs: str, z: float, u: np.ndarray, alpha: complex,
-                n: int) -> np.ndarray:
+
+def _second_rhs(rhs: str, z, u: np.ndarray,
+                alpha_eye: np.ndarray) -> np.ndarray:
+    """u'' of the second-order flows.  Like ``_third_rhs`` it takes one
+    matrix or a stack of them, with z broadcast against the stack."""
     cube = u @ u @ u
-    eye = np.eye(n, dtype=complex)
     if rhs == "p34":
-        return 2.0 * cube + z * u - alpha * eye
-    return 2.0 * cube - z * u + alpha * eye
+        return 2.0 * cube + z * u - alpha_eye
+    return 2.0 * cube - z * u + alpha_eye
 
 
-def _third_rhs(z: float, u: np.ndarray, du: np.ndarray) -> np.ndarray:
+def _third_rhs(z, u: np.ndarray, du: np.ndarray) -> np.ndarray:
     spread = du @ u @ u + u @ du @ u + u @ u @ du
     return 2.0 * spread - u / 3.0 - z * du / 3.0
 
 
 def _flow(problem: ODEProblem):
     n, depth = problem.n, problem.depth
-    m = depth * n * n
-    rhs, alpha = problem.rhs, problem.alpha
+    nn = n * n
+    m = depth * nn
+    rhs, alpha_eye = problem.rhs, problem.alpha_eye
 
     def f(z, y):
         c = y[:m] + 1j * y[m:]
         blocks = c.reshape(depth, n, n)
         if depth == 2:
-            out = np.stack(
-                [blocks[1], _second_rhs(rhs, z, blocks[0], alpha, n)]
-            )
+            top = _second_rhs(rhs, z, blocks[0], alpha_eye)
         else:
-            out = np.stack(
-                [blocks[1], blocks[2], _third_rhs(z, blocks[0], blocks[1])]
-            )
-        flat = out.reshape(m)
-        return np.concatenate([flat.real, flat.imag])
+            top = _third_rhs(z, blocks[0], blocks[1])
+        # c becomes the derivative (u', ..., top) in place
+        c[:-nn] = c[nn:]
+        c[-nn:] = top.reshape(nn)
+        out = np.empty(2 * m)
+        out[:m] = c.real
+        out[m:] = c.imag
+        return out
 
     return f
 
@@ -209,11 +222,27 @@ _W9_D1 = _fd_weights(range(-4, 5), 1)
 _W9_D3 = _fd_weights(range(-4, 5), 3)
 
 
-def _stencil(samples: np.ndarray, weights: np.ndarray, k: int,
-             h: float, order: int) -> np.ndarray:
-    half = (len(weights) - 1) // 2
-    window = samples[k - half : k + half + 1]
-    return np.tensordot(weights, window, axes=(0, 0)) / h**order
+def _stencil(samples: np.ndarray, weights: np.ndarray, h: float,
+             order: int) -> np.ndarray:
+    """The stencil at every grid point it fits: row j belongs to sample
+    j + (len(weights) - 1) // 2.
+
+    All windows go through one matrix product, each laid out as ``np.dot``
+    lays out a single window: a column of scalars keeps its stride, a block
+    of matrices stays as it is when contiguous and is copied to C order
+    otherwise.  Every window then meets the same BLAS kernel as the stencil
+    applied point by point, so each row is bitwise equal to it.  Other
+    layouts, or ``einsum``, move the last digits, and the solver returns
+    the samples in either memory order."""
+    g, span = len(samples), len(weights)
+    flat = samples.reshape(g, -1)
+    first = flat[:span]
+    if flat.shape[1] > 1 and not (first.flags.c_contiguous
+                                  or first.flags.f_contiguous):
+        flat = np.ascontiguousarray(flat)
+    win = sliding_window_view(flat, span, axis=0).transpose(0, 2, 1)
+    out = weights.astype(complex) @ win
+    return out.reshape(g - span + 1, *samples.shape[1:]) / h**order
 
 
 def _fd_residual(problem: ODEProblem, grid: np.ndarray,
@@ -223,17 +252,16 @@ def _fd_residual(problem: ODEProblem, grid: np.ndarray,
     res = np.full(g, np.nan)
     u = states[:, 0]
     if problem.depth == 2:
-        for k in range(3, g - 3):
-            d2 = _stencil(u, _W7_D2, k, h, 2)
-            want = _second_rhs(problem.rhs, grid[k], u[k], problem.alpha,
-                               problem.n)
-            res[k] = np.max(np.abs(d2 - want))
+        a, b = 3, g - 3
+        d = _stencil(u, _W7_D2, h, 2)
+        want = _second_rhs(problem.rhs, grid[a:b, None, None], u[a:b],
+                           problem.alpha_eye)
     else:
-        for k in range(4, g - 4):
-            d3 = _stencil(u, _W9_D3, k, h, 3)
-            d1 = _stencil(u, _W9_D1, k, h, 1)
-            want = _third_rhs(grid[k], u[k], d1)
-            res[k] = np.max(np.abs(d3 - want))
+        a, b = 4, g - 4
+        d = _stencil(u, _W9_D3, h, 3)
+        want = _third_rhs(grid[a:b, None, None], u[a:b],
+                          _stencil(u, _W9_D1, h, 1))
+    res[a:b] = np.max(np.abs(d - want), axis=(1, 2))
     return res
 
 
@@ -318,20 +346,21 @@ def p34_map_check(alpha, ic, span=(1.0, 2.5), rtol=1e-12,
             "p(z) passes too close to zero for the quotient form"
         )
     h = z[1] - z[0]
-    g = len(z)
+    d1 = _stencil(p, _W7_D1, h, 1)
+    d2 = _stencil(p, _W7_D2, h, 2)
     c2 = {
         "q": (complex(alpha) - 0.5) ** 2,
         "r": (complex(alpha) + 0.5) ** 2,
     }
     residual = {}
+    # Per point on numpy scalars: numpy's array complex division and
+    # array abs differ from the scalar ones in the last bits.
     for tag, coeff in c2.items():
         worst = 0.0
-        for k in range(3, g - 3):
-            d1 = _stencil(p, _W7_D1, k, h, 1)
-            d2 = _stencil(p, _W7_D2, k, h, 2)
-            pk = p[k]
-            r = (d2 - d1 * d1 / (2.0 * pk) - 2.0 * pk * pk + z[k] * pk
-                 + coeff / (2.0 * pk))
+        for j in range(len(d1)):
+            pk, zk = p[j + 3], z[j + 3]
+            r = (d2[j] - d1[j] * d1[j] / (2.0 * pk) - 2.0 * pk * pk
+                 + zk * pk + coeff / (2.0 * pk))
             worst = max(worst, abs(r))
         residual[tag] = worst
     tie = abs(c2["q"] - c2["r"]) < 1e-12
@@ -365,11 +394,8 @@ def dpii_first_integral_check(ic, span=(1.0, 4.0), n=1, rtol=DEFAULT_RTOL,
                          grid_points=grid_points)
     tr = integrate(problem)
     z = tr.grid
-    vals = []
-    for k in range(len(z)):
-        u, ddu = tr.u[k], tr.ddu[k]
-        vals.append(ddu - 2.0 * (u @ u @ u) + z[k] * u / 3.0)
-    vals = np.array(vals)
+    u = tr.u
+    vals = tr.ddu - 2.0 * (u @ u @ u) + z[:, None, None] * u / 3.0
     drift = float(np.max(np.abs(vals - vals[0])))
     return {
         "drift": drift,

@@ -15,7 +15,6 @@ kernel-internal property suites exercise inverses separately.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import sympy
 

@@ -231,6 +231,9 @@ def test_integrate_validation_exits_two(capsys):
     assert code == 2 and "u''" in err
     code, out, err = run_cli(["integrate", "pii", "--u0=nanj"], capsys)
     assert code == 2 and out == "" and "error:" in err
+    code, out, err = run_cli(
+        ["integrate", "pii", "--rtol=1e-20", "--u0=0.3", "--du0=0.1"], capsys)
+    assert code == 2 and out == "" and "error:" in err and "rtol" in err
 
 
 def test_integrate_pole_exits_one(capsys):

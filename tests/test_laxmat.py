@@ -13,7 +13,6 @@ from laxlab.ncexpr import (
     parse,
 )
 from laxlab.laxmat import (
-    Equation,
     GaugeError,
     Mat2,
     ProvenanceItem,

@@ -155,10 +155,17 @@ def test_problem_validation():
     {"rtol": -1.0},
     {"atol": -1e-12},
     {"rtol": float("nan")},
+    {"rtol": 1e-20},
 ])
 def test_problem_rejects_non_finite_data_and_bad_tolerances(bad):
     with pytest.raises(NumericError):
         ODEProblem(**{"rhs": "pii", **bad})
+
+
+def test_rtol_floor_is_accepted():
+    # the smallest rtol that scipy's solve_ivp honours without raising it
+    problem = ODEProblem("pii", rtol=numeric.RTOL_FLOOR)
+    assert problem.rtol == 100 * np.finfo(float).eps
 
 
 def test_pole_detection_reports_location():
@@ -200,3 +207,166 @@ def test_csv_third_order_has_ddu_block():
                               z0=1.0, z1=2.0))
     header = tr.to_csv().splitlines()[0].split(",")
     assert "ddu_re_0_0" in header and "ddu_im_0_0" in header
+
+
+def test_smallest_grid_audits_only_points_the_stencil_fits():
+    # grid_points=9 is the fewest the problem accepts: the 7-point stencil
+    # fits at 3 points, the 9-point one at a single point
+    for rhs, extra, finite in (("pii", {}, [3, 4, 5]),
+                               ("dpii3", {"ddu0": 0.1}, [4])):
+        tr = integrate(ODEProblem(rhs, u0=0.2, du0=-0.1, z0=1.0, z1=1.5,
+                                  grid_points=9, **extra))
+        assert np.flatnonzero(np.isfinite(tr.fd_residual)).tolist() == finite
+        rows = list(csv.DictReader(io.StringIO(tr.to_csv())))
+        assert [k for k, row in enumerate(rows) if row["fd_residual"]] == finite
+
+
+# ---------------------------------------------------------------------------
+# the grid-wide audit is bitwise equal to the point-by-point one
+# ---------------------------------------------------------------------------
+def _ref_stencil(samples, weights, k, h, order):
+    half = (len(weights) - 1) // 2
+    window = samples[k - half : k + half + 1]
+    return np.tensordot(weights, window, axes=(0, 0)) / h**order
+
+
+def _ref_second_rhs(rhs, z, u, alpha, n):
+    cube = u @ u @ u
+    eye = np.eye(n, dtype=complex)
+    if rhs == "p34":
+        return 2.0 * cube + z * u - alpha * eye
+    return 2.0 * cube - z * u + alpha * eye
+
+
+def _ref_third_rhs(z, u, du):
+    spread = du @ u @ u + u @ du @ u + u @ u @ du
+    return 2.0 * spread - u / 3.0 - z * du / 3.0
+
+
+def _ref_fd_residual(problem, grid, states):
+    g = len(grid)
+    h = grid[1] - grid[0]
+    res = np.full(g, np.nan)
+    u = states[:, 0]
+    if problem.depth == 2:
+        for k in range(3, g - 3):
+            d2 = _ref_stencil(u, numeric._W7_D2, k, h, 2)
+            want = _ref_second_rhs(problem.rhs, grid[k], u[k], problem.alpha,
+                                   problem.n)
+            res[k] = np.max(np.abs(d2 - want))
+    else:
+        for k in range(4, g - 4):
+            d3 = _ref_stencil(u, numeric._W9_D3, k, h, 3)
+            d1 = _ref_stencil(u, numeric._W9_D1, k, h, 1)
+            want = _ref_third_rhs(grid[k], u[k], d1)
+            res[k] = np.max(np.abs(d3 - want))
+    return res
+
+
+def _generic(n, seed, scale=0.3):
+    rng = np.random.default_rng(seed)
+    return scale * (rng.uniform(-1, 1, (n, n))
+                    + 1j * rng.uniform(-1, 1, (n, n)))
+
+
+@pytest.mark.parametrize("weights,order", [
+    (numeric._W7_D1, 1), (numeric._W7_D2, 2),
+    (numeric._W9_D1, 1), (numeric._W9_D3, 3),
+])
+@pytest.mark.parametrize("g", [9, 10, 41])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("grid_fastest", [False, True])
+def test_stencil_matches_point_by_point(weights, order, g, n, grid_fastest):
+    # The solver's (G, depth, n, n) samples come with either the entries or
+    # the grid points adjacent in memory; noise samples make any change of
+    # BLAS kernel show in the last bits.
+    rng = np.random.default_rng(g * 10 + n)
+    data = (rng.uniform(-1, 1, (2 * n * n, g))
+            + 1j * rng.uniform(-1, 1, (2 * n * n, g)))
+    rows = data.T if grid_fastest else np.ascontiguousarray(data.T)
+    states = rows.reshape(g, 2, n, n)
+    for samples in (states[:, 0], data[0]):
+        half = (len(weights) - 1) // 2
+        h = 0.0123
+        want = np.array([_ref_stencil(samples, weights, k, h, order)
+                         for k in range(half, g - half)])
+        got = numeric._stencil(samples, weights, h, order)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("rhs,n", [
+    ("pii", 2), ("pii", 3), ("p34", 2), ("p34", 3),
+    ("matrix-pii", 2), ("matrix-pii", 3), ("dpii3", 1), ("dpii3", 2),
+])
+@pytest.mark.parametrize("grid_points", [161, 10, 9])
+def test_fd_residual_matches_point_by_point(rhs, n, grid_points):
+    # On the coarse grids the solver steps less than one grid spacing and
+    # returns the samples with the grid points adjacent in memory.
+    extra = {"ddu0": _generic(n, 3, 0.2)} if rhs == "dpii3" else {}
+    problem = ODEProblem(rhs, alpha=0.4 - 0.1j, n=n, z0=1.0, z1=3.0,
+                         u0=_generic(n, 1), du0=_generic(n, 2),
+                         grid_points=grid_points, **extra)
+    tr = integrate(problem)
+    want = _ref_fd_residual(problem, tr.grid, tr.states)
+    assert np.array_equal(tr.fd_residual, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("alpha,ic", [
+    (0.7, (0.3, -0.2)),
+    (-0.35, (0.1 + 0.2j, 0.25 - 0.1j)),
+    (0.123, (-0.3 + 0.05j, 0.2j)),
+])
+def test_p34_map_check_matches_point_by_point(alpha, ic):
+    result = p34_map_check(alpha, ic)
+    tr = integrate(ODEProblem("p34", alpha=alpha, z0=1.0, z1=2.5, u0=ic[0],
+                              du0=ic[1], rtol=1e-12, atol=1e-14,
+                              grid_points=121))
+    z, u, du = tr.grid, tr.u[:, 0, 0], tr.du[:, 0, 0]
+    p = u * u + du + z / 2.0
+    h = z[1] - z[0]
+    for tag, shift in (("q", -0.5), ("r", 0.5)):
+        coeff = (complex(alpha) + shift) ** 2
+        worst = 0.0
+        for k in range(3, len(z) - 3):
+            d1 = _ref_stencil(p, numeric._W7_D1, k, h, 1)
+            d2 = _ref_stencil(p, numeric._W7_D2, k, h, 2)
+            pk = p[k]
+            r = (d2 - d1 * d1 / (2.0 * pk) - 2.0 * pk * pk + z[k] * pk
+                 + coeff / (2.0 * pk))
+            worst = max(worst, abs(r))
+        assert result[f"residual_{tag}"] == worst
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_dpii_first_integral_matches_point_by_point(n):
+    ic = (_generic(n, 4), _generic(n, 5), _generic(n, 6, 0.2))
+    result = dpii_first_integral_check(ic, span=(1.0, 2.0), n=n)
+    tr = integrate(ODEProblem("dpii3", n=n, z0=1.0, z1=2.0, u0=ic[0],
+                              du0=ic[1], ddu0=ic[2]))
+    vals = np.array([tr.ddu[k] - 2.0 * (tr.u[k] @ tr.u[k] @ tr.u[k])
+                     + tr.grid[k] * tr.u[k] / 3.0
+                     for k in range(len(tr.grid))])
+    assert result["drift"] == float(np.max(np.abs(vals - vals[0])))
+
+
+@pytest.mark.parametrize("rhs,n", [
+    ("pii", 1), ("p34", 1), ("matrix-pii", 2), ("matrix-pii", 3),
+    ("dpii3", 1), ("dpii3", 2),
+])
+def test_flow_matches_stacked_right_hand_side(rhs, n):
+    extra = {"ddu0": 0.1} if rhs == "dpii3" else {}
+    problem = ODEProblem(rhs, alpha=0.3 + 0.2j, n=n, **extra)
+    depth, m = problem.depth, problem.depth * n * n
+    f = numeric._flow(problem)
+    rng = np.random.default_rng(n)
+    for z in (1.0, 2.7, -0.4):
+        y = rng.uniform(-1, 1, 2 * m)
+        blocks = (y[:m] + 1j * y[m:]).reshape(depth, n, n)
+        if depth == 2:
+            top = _ref_second_rhs(rhs, z, blocks[0], problem.alpha, n)
+        else:
+            top = _ref_third_rhs(z, blocks[0], blocks[1])
+        flat = np.stack([*blocks[1:], top]).reshape(m)
+        want = np.concatenate([flat.real, flat.imag])
+        assert np.array_equal(f(z, y), want)
