@@ -16,9 +16,7 @@ Subpackages:
 """
 
 from .ncexpr import (
-    DEFAULT_CONTEXT,
     Atom,
-    GenContext,
     LaxlabError,
     NCExpr,
     ParseError,
@@ -37,9 +35,7 @@ from .ncexpr import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_CONTEXT",
     "Atom",
-    "GenContext",
     "LaxlabError",
     "NCExpr",
     "ParseError",

@@ -20,9 +20,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .laxmat import Mat2
-from .ncexpr import DEFAULT_CONTEXT, LaxlabError, NCExpr, QQi, parse
-
-CTX = DEFAULT_CONTEXT
+from .ncexpr import LaxlabError, NCExpr, QQi
+from .ncexpr import parse as _p
 
 
 class CatalogError(LaxlabError):
@@ -77,10 +76,6 @@ class _Entry:
 _SPECS: dict[str, _Entry] = {}
 
 
-def _p(text: str) -> NCExpr:
-    return parse(text, CTX)
-
-
 def _as_qqi(name: str, value) -> QQi:
     if isinstance(value, bool) or not isinstance(value, (int, Fraction, QQi)):
         raise CatalogError(
@@ -115,8 +110,8 @@ def _bind_pair(key: str, citation: str, p: Mat2, q: Mat2, rules: tuple,
 def _pair_pauli(key: str, citation: str, p_comp: dict, q_comp: dict,
                 rules: tuple = ()) -> None:
     def build(alpha=None) -> LaxPairSpec:
-        p = Mat2.from_pauli({k: _p(v) for k, v in p_comp.items()}, CTX)
-        q = Mat2.from_pauli({k: _p(v) for k, v in q_comp.items()}, CTX)
+        p = Mat2.from_pauli({k: _p(v) for k, v in p_comp.items()})
+        q = Mat2.from_pauli({k: _p(v) for k, v in q_comp.items()})
         return _bind_pair(key, citation, p, q, tuple(rules), alpha)
 
     _SPECS[key] = _Entry("pair", citation, ("alpha",), build)
@@ -417,8 +412,8 @@ _target(
 
 def _build_gauge_g() -> GaugeSpec:
     citation = _SPECS["gauge-G"].citation
-    mi = NCExpr.imag_unit(CTX)
-    one = NCExpr.one(CTX)
+    mi = NCExpr.imag_unit()
+    one = NCExpr.one()
     g = Mat2([-mi, -mi, -one, one])
     g_inv = Mat2([mi / 2, -one / 2, mi / 2, one / 2])
     return GaugeSpec("gauge-G", citation, g, g_inv)
@@ -599,57 +594,8 @@ _target(
 # ---------------------------------------------------------------------------
 # registry surface
 # ---------------------------------------------------------------------------
-MANIFEST: tuple[str, ...] = (
-    "pii-classical",
-    "pii-classical-derived",
-    "fn-pair",
-    "fn-gauge-pair",
-    "pii-symmetric",
-    "classical-p34-r",
-    "classical-p34-q",
-    "classical-p34-r-derived",
-    "classical-p34-q-derived",
-    "dmpii",
-    "matrix-pii-symmetric",
-    "matrix-pii-target",
-    "qp34-hbar2",
-    "weyl-relations",
-    "ncpii-vrvr",
-    "results-summary",
-    "comparison-target",
-    "qpii-pair",
-    "qpii-pair-asprinted",
-    "qmpii-system-asprinted",
-    "qmpii-target-asprinted",
-    "qmpii-target-derived",
-    "qmpii-target-residual",
-    "commutation-zv",
-    "case-i-system",
-    "case-ii-display",
-    "gauge-G",
-    "gauge-pair-asprinted",
-    "gauge-pair-derived",
-    "qspii-system-asprinted",
-    "qp34-defs",
-    "qp34-affine-asprinted",
-    "qp34-affine-factored",
-    "qp34-affine-q",
-    "qp34-log-derivative",
-    "qp34-bold-defn",
-    "qp34-uprime-asprinted",
-    "qp34-usquare-asprinted",
-    "qp34-uprime-derived",
-    "qp34-target-asprinted",
-    "qp34-target-derived",
-    "qp34-target-routeb",
-    "qp34-target-q-asprinted",
-    "qp34-target-q-derived",
-    "dpii-scalar",
-    "dpii-first-integral",
-)
-
 def keys() -> tuple[str, ...]:
-    return MANIFEST
+    return tuple(_SPECS)
 
 
 def describe(key: str) -> dict:

@@ -27,7 +27,6 @@ from .ncexpr import (
     BUILTIN_RULESET_NAMES,
     LaxlabError,
     NCExpr,
-    DEFAULT_CONTEXT as CTX,
     builtin_ruleset,
     combine_rulesets,
     normalize,
@@ -91,7 +90,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_derive(args) -> int:
-    report = verify.derive_p34()
+    report = verify.run("qp34-chain")
     _print_report(report, args.format)
     return _status_code(report.status)
 
@@ -115,11 +114,11 @@ def _cmd_reduce(args) -> int:
 
     subs = None
     if args.v_du:
-        subs = {"v": NCExpr.gen("u", 1, ctx=CTX)}
+        subs = {"v": NCExpr.gen("u", 1)}
     elif args.v_u:
-        subs = {"v": NCExpr.gen("u", ctx=CTX)}
+        subs = {"v": NCExpr.gen("u")}
     elif args.v_zero:
-        subs = {"v": NCExpr.zero(CTX)}
+        subs = {"v": NCExpr.zero()}
     rules = _ruleset(args.rules)
 
     def reduce_expr(e: NCExpr) -> NCExpr:
@@ -137,7 +136,7 @@ def _cmd_reduce(args) -> int:
 
     try:
         if args.expr is not None:
-            print(reduce_expr(parse_expr(args.expr, CTX)))
+            print(reduce_expr(parse_expr(args.expr)))
             return 0
         obj = catalog.build(args.key)
     except LaxlabError as exc:

@@ -16,16 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .ncexpr import (
-    ContextError,
-    DEFAULT_CONTEXT,
-    GenContext,
-    LaxlabError,
-    NCExpr,
-    QQi,
-    RuleSet,
-    normalize,
-)
+from .ncexpr import LaxlabError, NCExpr, QQi, RuleSet, normalize
 
 __all__ = [
     "Mat2",
@@ -60,40 +51,36 @@ class Mat2:
         entries = tuple(entries)
         if len(entries) != 4:
             raise ValueError("a Mat2 needs exactly 4 entries (row-major)")
-        ctx = entries[0].ctx
-        for e in entries:
-            if e.ctx != ctx:
-                raise ContextError("matrix entries from different generator contexts")
         self.entries = entries
 
     # -- constructors -------------------------------------------------------------
     @classmethod
-    def zero(cls, ctx: GenContext = DEFAULT_CONTEXT) -> "Mat2":
-        z = NCExpr.zero(ctx)
+    def zero(cls) -> "Mat2":
+        z = NCExpr.zero()
         return cls((z, z, z, z))
 
     @classmethod
-    def identity(cls, ctx: GenContext = DEFAULT_CONTEXT) -> "Mat2":
-        one = NCExpr.one(ctx)
-        z = NCExpr.zero(ctx)
+    def identity(cls) -> "Mat2":
+        one = NCExpr.one()
+        z = NCExpr.zero()
         return cls((one, z, z, one))
 
     @classmethod
     def diag(cls, a: NCExpr, d: NCExpr) -> "Mat2":
-        z = NCExpr.zero(a.ctx)
+        z = NCExpr.zero()
         return cls((a, z, z, d))
 
     @classmethod
-    def pauli(cls, name: str, ctx: GenContext = DEFAULT_CONTEXT) -> "Mat2":
+    def pauli(cls, name: str) -> "Mat2":
         """The basis matrices: I, s1, s2, s3, plus the ladders Ip, Im.
 
         s1 = [[0,1],[1,0]], s2 = [[0,-i],[i,0]], s3 = [[1,0],[0,-1]],
         Ip = [[0,1],[0,0]], Im = [[0,0],[-1,0]]; so s1 = Ip - Im and
         s2 = -i*(Ip + Im).
         """
-        one = NCExpr.one(ctx)
-        z = NCExpr.zero(ctx)
-        i = NCExpr.imag_unit(ctx)
+        one = NCExpr.one()
+        z = NCExpr.zero()
+        i = NCExpr.imag_unit()
         table = {
             "I": (one, z, z, one),
             "s1": (z, one, one, z),
@@ -110,43 +97,31 @@ class Mat2:
             ) from None
 
     @classmethod
-    def from_pauli(
-        cls, components: Mapping[str, NCExpr], ctx: GenContext = DEFAULT_CONTEXT
-    ) -> "Mat2":
+    def from_pauli(cls, components: Mapping[str, NCExpr]) -> "Mat2":
         """Build sum(c_name * basis_name) from a component map.
 
         Accepts the four Pauli names plus the ladder names Ip and Im;
         missing components default to zero.
         """
-        acc = cls.zero(ctx)
+        acc = cls.zero()
         for name, coeff in components.items():
-            acc = acc + cls.pauli(name, ctx).scalar_premul(coeff)
+            acc = acc + cls.pauli(name).scalar_premul(coeff)
         return acc
 
     # -- plumbing -------------------------------------------------------------------
-    @property
-    def ctx(self) -> GenContext:
-        return self.entries[0].ctx
-
     def map(self, fn: Callable[[NCExpr], NCExpr]) -> "Mat2":
         return Mat2(tuple(fn(e) for e in self.entries))
-
-    def _require_same_ctx(self, other: "Mat2") -> None:
-        if self.ctx != other.ctx:
-            raise ContextError("matrices from different generator contexts")
 
     # -- algebra -------------------------------------------------------------------
     def __add__(self, other: "Mat2") -> "Mat2":
         if not isinstance(other, Mat2):
             return NotImplemented
-        self._require_same_ctx(other)
         a, b = self.entries, other.entries
         return Mat2(tuple(a[k] + b[k] for k in range(4)))
 
     def __sub__(self, other: "Mat2") -> "Mat2":
         if not isinstance(other, Mat2):
             return NotImplemented
-        self._require_same_ctx(other)
         a, b = self.entries, other.entries
         return Mat2(tuple(a[k] - b[k] for k in range(4)))
 
@@ -157,7 +132,6 @@ class Mat2:
         """Matrix product; entries multiply in the free algebra."""
         if not isinstance(other, Mat2):
             return NotImplemented
-        self._require_same_ctx(other)
         a11, a12, a21, a22 = self.entries
         b11, b12, b21, b22 = other.entries
         return Mat2(
@@ -176,7 +150,7 @@ class Mat2:
     def __eq__(self, other):
         if not isinstance(other, Mat2):
             return NotImplemented
-        return self.ctx == other.ctx and self.entries == other.entries
+        return self.entries == other.entries
 
     @property
     def is_zero(self) -> bool:
@@ -189,8 +163,8 @@ class Mat2:
     def d_dlambda(self) -> "Mat2":
         return self.map(lambda e: e.d_dlambda())
 
-    def normalize(self, rules: RuleSet | None, budget: int | None = None) -> "Mat2":
-        return self.map(lambda e: normalize(e, rules, budget))
+    def normalize(self, rules: RuleSet | None) -> "Mat2":
+        return self.map(lambda e: normalize(e, rules))
 
     def substitute(self, mapping: Mapping[str, NCExpr]) -> "Mat2":
         return self.map(lambda e: e.substitute(mapping))
@@ -234,27 +208,15 @@ def mat_commutator(a: Mat2, b: Mat2) -> Mat2:
     return a * b - b * a
 
 
-def zero_curvature_residual(
-    p: Mat2,
-    q: Mat2,
-    rules: RuleSet | None = None,
-    budget: int | None = None,
-    convention: str = "qz-pl",
-) -> Mat2:
-    """The compatibility residual of Psi_z = P Psi, Psi_lambda = Q Psi.
-
-    With the default convention the residual is R = Q_z - P_lambda - [P,Q];
-    the opposite convention ("pl-qz") returns the negative, P_lambda - Q_z
-    - [Q,P].  The pair is compatible exactly when R vanishes (possibly only
-    after rewriting with a rule set).
+def zero_curvature_residual(p: Mat2, q: Mat2,
+                            rules: RuleSet | None = None) -> Mat2:
+    """The compatibility residual R = Q_z - P_lambda - [P,Q] of
+    Psi_z = P Psi, Psi_lambda = Q Psi, normalized under ``rules``.  The
+    pair is compatible exactly when R vanishes (possibly only after
+    rewriting with a rule set).
     """
-    if convention == "qz-pl":
-        r = q.d_dz() - p.d_dlambda() - mat_commutator(p, q)
-    elif convention == "pl-qz":
-        r = p.d_dlambda() - q.d_dz() - mat_commutator(q, p)
-    else:
-        raise LaxlabError(f"unknown residual convention {convention!r}")
-    return r.normalize(rules, budget)
+    r = q.d_dz() - p.d_dlambda() - mat_commutator(p, q)
+    return r.normalize(rules)
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +261,6 @@ class Equation:
     lhs: NCExpr
     provenance: tuple[ProvenanceItem, ...] = ()
     label: str = ""
-
-    @property
-    def trivially_satisfied(self) -> bool:
-        return self.lhs.is_zero
 
     def describe_provenance(self) -> str:
         if not self.provenance:
@@ -352,29 +310,19 @@ def extract_equations(residual: Mat2, label: str = "") -> list[Equation]:
 # ---------------------------------------------------------------------------
 
 
-def gauge_transform(
-    m: Mat2,
-    g: Mat2,
-    g_inv: Mat2,
-    kind: str,
-    rules: RuleSet | None = None,
-    budget: int | None = None,
-) -> Mat2:
+def gauge_transform(m: Mat2, g: Mat2, g_inv: Mat2, kind: str) -> Mat2:
     """Transform one member of a linear-system pair by the gauge G.
 
     kind = "z-part" transforms the coefficient of d/dz and returns
     G M G^-1 + (d_dz G) G^-1; kind = "lambda-part" uses d_dlambda for the
     connection term.  The inverse is not computed symbolically: the caller
-    supplies it, and G G^-1 == G^-1 G == I is checked (after rewriting
-    with the given rules) before anything else happens.
+    supplies it, and G G^-1 == G^-1 G == I is checked literally, in the
+    free algebra, before anything else happens.
     """
     if kind not in ("z-part", "lambda-part"):
         raise LaxlabError(f"unknown gauge kind {kind!r}; use z-part or lambda-part")
-    ident = Mat2.identity(m.ctx)
-    if (g * g_inv).normalize(rules, budget) != ident or (
-        g_inv * g
-    ).normalize(rules, budget) != ident:
+    ident = Mat2.identity()
+    if g * g_inv != ident or g_inv * g != ident:
         raise GaugeError("g_inv is not a two-sided inverse of g")
     dg = g.d_dz() if kind == "z-part" else g.d_dlambda()
-    out = g * m * g_inv + dg * g_inv
-    return out.normalize(rules, budget)
+    return g * m * g_inv + dg * g_inv

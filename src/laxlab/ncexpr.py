@@ -1,10 +1,10 @@
 """Free-associative-algebra kernel with exact Gaussian-rational coefficients.
 
-The algebra consists of finite sums of *words* over declared noncommuting
-generators.  Each coefficient is a Laurent polynomial in the central
-parameter ``lam`` and an ordinary polynomial in the central parameters
-``hbar`` and ``alpha``, over the Gaussian rationals (exact complex numbers
-with rational real and imaginary parts).
+The algebra consists of finite sums of *words* over a fixed alphabet of
+noncommuting generators.  Each coefficient is a Laurent polynomial in the
+central parameter ``lam`` and an ordinary polynomial in the central
+parameters ``hbar`` and ``alpha``, over the Gaussian rationals (exact
+complex numbers with rational real and imaginary parts).
 
 Nothing in this module touches floating point.  Identities between
 generators (commutation relations, inverse cancellation) are never built
@@ -13,12 +13,16 @@ through :func:`normalize`.
 
 Conventions baked into the kernel:
 
+* The generators are fixed: ``z``, ``u``, ``v``, ``p``, ``q``, ``r``,
+  ``nu`` (:data:`GENERATORS`, in the order that ranks atoms in the
+  canonical word order), of which ``p``, ``q``, ``r`` are invertible
+  (:data:`INVERTIBLE`).  Every other name is rejected.
 * ``z`` is a generator (it need not commute with the field variables), but
   its formal derivative is the empty word: ``d_dz(z) == 1``.
 * ``lam``, ``hbar``, ``alpha`` are central and live in the coefficients;
   ``beta`` and ``delta`` are parse-time macros for ``i*hbar/4`` and
   ``alpha - 1/2``.
-* Inverse atoms exist only for generators declared invertible, and only at
+* Inverse atoms exist only for the invertible generators, and only at
   derivative order zero; the derivative of an inverse is produced by the
   Leibniz rule as ``d_dz(p^-1) == -p^-1*p'*p^-1``.
 """
@@ -43,8 +47,8 @@ __all__ = [
     "Scalar",
     "Atom",
     "Word",
-    "GenContext",
-    "DEFAULT_CONTEXT",
+    "GENERATORS",
+    "INVERTIBLE",
     "NCExpr",
     "Rule",
     "RuleSet",
@@ -82,7 +86,7 @@ class ParseError(LaxlabError):
 
 
 class ContextError(LaxlabError):
-    """Undeclared generator, illegal atom, or mixed generator contexts."""
+    """Undeclared generator or illegal atom."""
 
 
 class RuleError(LaxlabError):
@@ -335,11 +339,6 @@ class Scalar:
                 _add_into(out, (l1 + l2, h1 + h2, a1 + a2), c1 * c2)
         return Scalar._of(out)
 
-    def mul_qqi(self, c: QQi) -> "Scalar":
-        if not c:
-            return Scalar()
-        return Scalar._of({k: v * c for k, v in self.terms.items()})
-
     # -- queries ----------------------------------------------------------------
     def __eq__(self, other):
         if not isinstance(other, Scalar):
@@ -352,14 +351,6 @@ class Scalar:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def qqi_if_constant(self) -> QQi | None:
-        """The plain Gaussian-rational value, if free of lam/hbar/alpha."""
-        if not self.terms:
-            return QQi(0)
-        if len(self.terms) == 1 and (0, 0, 0) in self.terms:
-            return self.terms[(0, 0, 0)]
-        return None
 
     def single_mono(self) -> tuple[ExpKey, QQi] | None:
         if len(self.terms) == 1:
@@ -396,7 +387,7 @@ class Scalar:
 
 
 # ---------------------------------------------------------------------------
-# Atoms, words, generator contexts
+# Atoms, words, the generator alphabet
 # ---------------------------------------------------------------------------
 
 
@@ -411,60 +402,42 @@ class Atom(NamedTuple):
 #: Words are plain tuples of :class:`Atom`; the empty tuple is the identity.
 Word = tuple
 
-_RESERVED_NAMES = frozenset({"i", "lam", "hbar", "alpha", "beta", "delta"})
+#: The generators, in the order that ranks atoms in the canonical word order.
+GENERATORS = ("z", "u", "v", "p", "q", "r", "nu")
+#: The generators that have inverse atoms.
+INVERTIBLE = frozenset({"p", "q", "r"})
+_RANK = {name: k for k, name in enumerate(GENERATORS)}
 
 
-@dataclass(frozen=True)
-class GenContext:
-    """Declared generators, in precedence order, plus the invertible subset."""
-
-    names: tuple[str, ...] = ("z", "u", "v", "p", "q", "r", "nu")
-    invertible: frozenset[str] = frozenset({"p", "q", "r"})
-
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
-            raise ContextError("duplicate generator names")
-        bad = _RESERVED_NAMES.intersection(self.names)
-        if bad:
-            raise ContextError(f"reserved names cannot be generators: {sorted(bad)}")
-        for name in self.names:
-            if not name.isalpha():
-                raise ContextError(f"generator names must be alphabetic: {name!r}")
-        extra = set(self.invertible) - set(self.names)
-        if extra:
-            raise ContextError(f"invertible set has undeclared names: {sorted(extra)}")
-
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise ContextError(f"undeclared generator {name!r}") from None
-
-    def check_atom(self, atom: Atom) -> None:
-        self.index(atom.gen)
-        if atom.order < 0:
-            raise ContextError("negative derivative order")
-        if atom.inv:
-            if atom.gen not in self.invertible:
-                raise ContextError(
-                    f"generator {atom.gen!r} is not declared invertible"
-                )
-            if atom.order != 0:
-                raise ContextError(
-                    "inverse atoms carry derivative order 0; derivatives of "
-                    "inverses arise from the Leibniz rule"
-                )
+def _rank(name: str) -> int:
+    try:
+        return _RANK[name]
+    except KeyError:
+        raise ContextError(f"undeclared generator {name!r}") from None
 
 
-DEFAULT_CONTEXT = GenContext()
+def _check_atom(atom: Atom) -> None:
+    _rank(atom.gen)
+    if atom.order < 0:
+        raise ContextError("negative derivative order")
+    if atom.inv:
+        if atom.gen not in INVERTIBLE:
+            raise ContextError(
+                f"generator {atom.gen!r} is not declared invertible"
+            )
+        if atom.order != 0:
+            raise ContextError(
+                "inverse atoms carry derivative order 0; derivatives of "
+                "inverses arise from the Leibniz rule"
+            )
 
 
-def _atom_key(ctx: GenContext, atom: Atom) -> tuple[int, int, int]:
-    return (ctx.index(atom.gen), atom.order, 1 if atom.inv else 0)
-
-
-def _word_key(ctx: GenContext, word: tuple) -> tuple:
-    return (len(word), tuple(_atom_key(ctx, a) for a in word))
+def _word_key(word: tuple) -> tuple:
+    try:
+        return (len(word), tuple((_RANK[a.gen], a.order, 1 if a.inv else 0)
+                                 for a in word))
+    except KeyError as exc:
+        raise ContextError(f"undeclared generator {exc.args[0]!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -473,132 +446,118 @@ def _word_key(ctx: GenContext, word: tuple) -> tuple:
 
 
 class NCExpr:
-    """A finite sum of coefficient-weighted words over a generator context.
+    """A finite sum of coefficient-weighted words over the generators.
 
     Instances are immutable by convention; every operation returns a new
     expression.  Equality is literal equality of the term maps (use
     :func:`normalize` first when equality modulo relations is intended).
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, ctx: GenContext, terms: Mapping[tuple, Scalar] | None = None):
+    def __init__(self, terms: Mapping[tuple, Scalar] | None = None):
         clean: dict[tuple, Scalar] = {}
         if terms:
             for word, scal in terms.items():
                 if not isinstance(scal, Scalar):
                     scal = Scalar.from_value(scal)
                 _add_into(clean, word, scal)
-        self.ctx = ctx
         self.terms = clean
 
     # -- constructors -----------------------------------------------------------
     @classmethod
-    def _of(cls, ctx: GenContext, terms: dict[tuple, Scalar]) -> "NCExpr":
+    def _of(cls, terms: dict[tuple, Scalar]) -> "NCExpr":
         """Wrap a term map that already holds no zero coefficients, skipping
         the validation of ``__init__``."""
         e = object.__new__(cls)
-        e.ctx = ctx
         e.terms = terms
         return e
 
     @classmethod
-    def zero(cls, ctx: GenContext = DEFAULT_CONTEXT) -> "NCExpr":
-        return cls(ctx)
+    def zero(cls) -> "NCExpr":
+        return cls()
 
     @classmethod
-    def one(cls, ctx: GenContext = DEFAULT_CONTEXT) -> "NCExpr":
-        return cls(ctx, {(): Scalar.one()})
+    def one(cls) -> "NCExpr":
+        return cls({(): Scalar.one()})
 
     @classmethod
-    def scalar(cls, value, ctx: GenContext = DEFAULT_CONTEXT) -> "NCExpr":
-        return cls(ctx, {(): Scalar.from_value(value)})
+    def scalar(cls, value) -> "NCExpr":
+        return cls({(): Scalar.from_value(value)})
 
     @classmethod
-    def gen(
-        cls,
-        name: str,
-        order: int = 0,
-        inv: bool = False,
-        ctx: GenContext = DEFAULT_CONTEXT,
-    ) -> "NCExpr":
+    def gen(cls, name: str, order: int = 0, inv: bool = False) -> "NCExpr":
         atom = Atom(name, order, inv)
-        ctx.check_atom(atom)
+        _check_atom(atom)
         if name == "z" and order >= 1 and not inv:
             # z' is the multiplicative identity, higher derivatives vanish
-            return cls.one(ctx) if order == 1 else cls.zero(ctx)
-        return cls(ctx, {(atom,): Scalar.one()})
+            return cls.one() if order == 1 else cls.zero()
+        return cls({(atom,): Scalar.one()})
 
     @classmethod
-    def lam(cls, power: int = 1, ctx: GenContext = DEFAULT_CONTEXT) -> "NCExpr":
-        return cls(ctx, {(): Scalar.mono(1, lam=power)})
+    def lam(cls, power: int = 1) -> "NCExpr":
+        return cls({(): Scalar.mono(1, lam=power)})
 
     @classmethod
-    def hbar(cls, power: int = 1, ctx: GenContext = DEFAULT_CONTEXT) -> "NCExpr":
-        return cls(ctx, {(): Scalar.mono(1, hbar=power)})
+    def hbar(cls, power: int = 1) -> "NCExpr":
+        return cls({(): Scalar.mono(1, hbar=power)})
 
     @classmethod
-    def alpha(cls, power: int = 1, ctx: GenContext = DEFAULT_CONTEXT) -> "NCExpr":
-        return cls(ctx, {(): Scalar.mono(1, alpha=power)})
+    def alpha(cls, power: int = 1) -> "NCExpr":
+        return cls({(): Scalar.mono(1, alpha=power)})
 
     @classmethod
-    def imag_unit(cls, ctx: GenContext = DEFAULT_CONTEXT) -> "NCExpr":
-        return cls.scalar(_QQI_I, ctx)
+    def imag_unit(cls) -> "NCExpr":
+        return cls.scalar(_QQI_I)
 
     # -- plumbing ---------------------------------------------------------------
-    def _require_same_ctx(self, other: "NCExpr") -> None:
-        if self.ctx != other.ctx:
-            raise ContextError("expressions come from different generator contexts")
-
     @staticmethod
-    def _coerce(value, ctx: GenContext) -> "NCExpr | None":
+    def _coerce(value) -> "NCExpr | None":
         if isinstance(value, NCExpr):
             return value
         if isinstance(value, (int, Fraction, QQi, Scalar)):
-            return NCExpr.scalar(value, ctx)
+            return NCExpr.scalar(value)
         return None
 
     # -- ring operations ----------------------------------------------------------
     def __add__(self, other):
-        o = self._coerce(other, self.ctx)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
-        self._require_same_ctx(o)
         out = dict(self.terms)
         for word, scal in o.terms.items():
             _add_into(out, word, scal)
-        return NCExpr._of(self.ctx, out)
+        return NCExpr._of(out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other, self.ctx)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self + (-o)
 
     def __rsub__(self, other):
-        o = self._coerce(other, self.ctx)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         return o + (-self)
 
     def __neg__(self):
-        return NCExpr._of(self.ctx, {w: -s for w, s in self.terms.items()})
+        return NCExpr._of({w: -s for w, s in self.terms.items()})
 
     def __mul__(self, other):
-        o = self._coerce(other, self.ctx)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
-        self._require_same_ctx(o)
         out: dict[tuple, Scalar] = {}
         for w1, s1 in self.terms.items():
             for w2, s2 in o.terms.items():
                 _add_into(out, w1 + w2, s1 * s2)
-        return NCExpr._of(self.ctx, out)
+        return NCExpr._of(out)
 
     def __rmul__(self, other):
-        o = self._coerce(other, self.ctx)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         return o * self
@@ -617,7 +576,7 @@ class NCExpr:
             prod = s * scal
             if prod:
                 out[w] = prod
-        return NCExpr._of(self.ctx, out)
+        return NCExpr._of(out)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -626,7 +585,7 @@ class NCExpr:
             raise ContextError(
                 "negative powers exist only for single invertible generators"
             )
-        acc = NCExpr.one(self.ctx)
+        acc = NCExpr.one()
         for _ in range(n):
             acc = acc * self
         return acc
@@ -641,21 +600,21 @@ class NCExpr:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, QQi, Scalar)):
-            other = NCExpr.scalar(other, self.ctx)
+            other = NCExpr.scalar(other)
         if not isinstance(other, NCExpr):
             return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
+        return self.terms == other.terms
 
     def coefficient(self, word: tuple) -> Scalar:
         return self.terms.get(word, Scalar.zero())
 
     def sorted_terms(self) -> list[tuple[tuple, Scalar]]:
-        return sorted(self.terms.items(), key=lambda kv: _word_key(self.ctx, kv[0]))
+        return sorted(self.terms.items(), key=lambda kv: _word_key(kv[0]))
 
     def min_word(self) -> tuple | None:
         if not self.terms:
             return None
-        return min(self.terms, key=lambda w: _word_key(self.ctx, w))
+        return min(self.terms, key=_word_key)
 
     # -- calculus ---------------------------------------------------------------
     def d_dz(self) -> "NCExpr":
@@ -671,7 +630,7 @@ class NCExpr:
                 else:
                     mid = (Atom(atom.gen, atom.order + 1, False),)
                     _add_into(out, head + mid + tail, scal)
-        return NCExpr._of(self.ctx, out)
+        return NCExpr._of(out)
 
     def d_dlambda(self) -> "NCExpr":
         out = {}
@@ -679,7 +638,7 @@ class NCExpr:
             d = scal.d_dlambda()
             if d:
                 out[word] = d
-        return NCExpr._of(self.ctx, out)
+        return NCExpr._of(out)
 
     # -- substitution --------------------------------------------------------------
     def substitute(self, mapping: Mapping[str, "NCExpr"]) -> "NCExpr":
@@ -694,11 +653,9 @@ class NCExpr:
         :class:`SubstitutionError`.
         """
         for name, repl in mapping.items():
-            self.ctx.index(name)
+            _rank(name)
             if not isinstance(repl, NCExpr):
                 raise SubstitutionError("replacements must be expressions")
-            if repl.ctx != self.ctx:
-                raise ContextError("replacement from a different generator context")
 
         towers: dict[tuple[str, int], NCExpr] = {}
         inverses: dict[str, NCExpr] = {}
@@ -741,7 +698,7 @@ class NCExpr:
             if word == ():
                 inv_word: tuple = ()
             elif len(word) == 1 and word[0].order == 0 and (
-                word[0].gen in self.ctx.invertible
+                word[0].gen in INVERTIBLE
             ):
                 inv_word = (Atom(word[0].gen, 0, not word[0].inv),)
             else:
@@ -749,13 +706,13 @@ class NCExpr:
                     f"cannot invert the replacement of {name!r}: not a single "
                     "invertible atom"
                 )
-            got = NCExpr(self.ctx, {inv_word: inv_scal})
+            got = NCExpr({inv_word: inv_scal})
             inverses[name] = got
             return got
 
-        result = NCExpr.zero(self.ctx)
+        result = NCExpr.zero()
         for word, scal in self.terms.items():
-            acc = NCExpr.scalar(scal, self.ctx)
+            acc = NCExpr.scalar(scal)
             for atom in word:
                 if atom.gen in mapping:
                     if atom.inv:
@@ -763,7 +720,7 @@ class NCExpr:
                     else:
                         factor = tower(atom.gen, atom.order)
                 else:
-                    factor = NCExpr(self.ctx, {(atom,): Scalar.one()})
+                    factor = NCExpr({(atom,): Scalar.one()})
                 acc = acc * factor
             result = result + acc
         return result
@@ -775,7 +732,7 @@ class NCExpr:
             s = scal.classical_limit()
             if s:
                 out[word] = s
-        return NCExpr._of(self.ctx, out)
+        return NCExpr._of(out)
 
     def scalarize(self) -> "NCExpr":
         """Project onto the commutative quotient.
@@ -789,7 +746,7 @@ class NCExpr:
         for word, scal in self.terms.items():
             counts: dict[tuple[int, str, int], int] = {}
             for atom in word:
-                key = (self.ctx.index(atom.gen), atom.gen, atom.order)
+                key = (_rank(atom.gen), atom.gen, atom.order)
                 counts[key] = counts.get(key, 0) + (-1 if atom.inv else 1)
             new_word: list[Atom] = []
             for (idx, gen, order), count in sorted(counts.items()):
@@ -798,7 +755,7 @@ class NCExpr:
                 inv = count < 0
                 new_word.extend(Atom(gen, order, inv) for _ in range(abs(count)))
             _add_into(out, tuple(new_word), scal)
-        return NCExpr._of(self.ctx, out)
+        return NCExpr._of(out)
 
     # -- structural transforms -----------------------------------------------------
     def split_lambda(self) -> dict[int, "NCExpr"]:
@@ -808,7 +765,7 @@ class NCExpr:
             for (l, h, a), c in scal.terms.items():
                 _add_into(buckets.setdefault(l, {}), word,
                           Scalar.mono(c, hbar=h, alpha=a))
-        return {l: NCExpr._of(self.ctx, terms) for l, terms in buckets.items()}
+        return {l: NCExpr._of(terms) for l, terms in buckets.items()}
 
     def bind_alpha(self, value) -> "NCExpr":
         v = value if isinstance(value, QQi) else QQi(value)
@@ -817,12 +774,10 @@ class NCExpr:
             s = scal.bind_alpha(v)
             if s:
                 out[word] = s
-        return NCExpr._of(self.ctx, out)
+        return NCExpr._of(out)
 
     def negate_alpha(self) -> "NCExpr":
-        return NCExpr._of(
-            self.ctx, {w: s.negate_alpha() for w, s in self.terms.items()}
-        )
+        return NCExpr._of({w: s.negate_alpha() for w, s in self.terms.items()})
 
     def reflect_z(self) -> "NCExpr":
         """The image under z -> -z with fields transported by the chain rule.
@@ -839,7 +794,7 @@ class NCExpr:
                     sign += 1
                 sign += atom.order
             out[word] = scal if sign % 2 == 0 else -scal
-        return NCExpr._of(self.ctx, out)
+        return NCExpr._of(out)
 
     def canonical_with_scale(self) -> tuple["NCExpr", QQi]:
         """Divide by the Gaussian-rational of the minimal word's minimal
@@ -966,9 +921,8 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, text: str, ctx: GenContext):
+    def __init__(self, text: str):
         self.text = text
-        self.ctx = ctx
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -1046,7 +1000,7 @@ class _Parser:
             raise ParseError(
                 "division by hbar or alpha is not representable", self.text, pos
             )
-        return NCExpr(self.ctx, {(): Scalar.mono(c.inverse(), lam=-l)})
+        return NCExpr({(): Scalar.mono(c.inverse(), lam=-l)})
 
     def _caret_value(self) -> int | None:
         tok = self.peek()
@@ -1059,7 +1013,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            return NCExpr.scalar(int(tok.text), self.ctx)
+            return NCExpr.scalar(int(tok.text))
         if tok.kind == "name":
             return self.parse_name()
         if tok.kind == "op" and tok.text == "(":
@@ -1085,7 +1039,7 @@ class _Parser:
         tok = self.advance()
         name = tok.text
         if name == "i":
-            return NCExpr.imag_unit(self.ctx)
+            return NCExpr.imag_unit()
         if name in ("lam", "hbar", "alpha"):
             power = self._caret_value()
             if power is None:
@@ -1094,20 +1048,23 @@ class _Parser:
                 raise ParseError(
                     f"{name} admits only non-negative exponents", self.text, tok.pos
                 )
-            return NCExpr(self.ctx, {(): Scalar.mono(1, **{name: power})})
-        if name == "beta":
-            base = NCExpr(self.ctx, {(): Scalar.mono(QQi(0, Fraction(1, 4)), hbar=1)})
-            return self._macro_power(base, tok)
-        if name == "delta":
-            base = NCExpr(
-                self.ctx,
-                {(): Scalar({(0, 0, 1): _QQI_ONE, (0, 0, 0): QQi(Fraction(-1, 2))})},
-            )
-            return self._macro_power(base, tok)
+            return NCExpr({(): Scalar.mono(1, **{name: power})})
+        if name in ("beta", "delta"):
+            if name == "beta":
+                base = NCExpr({(): Scalar.mono(QQi(0, Fraction(1, 4)), hbar=1)})
+            else:
+                base = NCExpr({(): Scalar({(0, 0, 1): _QQI_ONE,
+                                           (0, 0, 0): QQi(Fraction(-1, 2))})})
+            power = self._caret_value()
+            if power is None:
+                return base
+            if power < 0:
+                raise ParseError(
+                    "macros admit only non-negative exponents", self.text, tok.pos
+                )
+            return base ** power
         # a generator
-        try:
-            self.ctx.index(name)
-        except ContextError:
+        if name not in _RANK:
             raise ParseError(f"undeclared generator {name!r}", self.text, tok.pos)
         order = 0
         nxt = self.peek()
@@ -1116,45 +1073,23 @@ class _Parser:
             self.advance()
         power = self._caret_value()
         if power is None:
-            return NCExpr.gen(name, order, ctx=self.ctx)
+            return NCExpr.gen(name, order)
         if power >= 0:
-            base = NCExpr.gen(name, order, ctx=self.ctx)
-            acc = NCExpr.one(self.ctx)
-            for _ in range(power):
-                acc = acc * base
-            return acc
+            return NCExpr.gen(name, order) ** power
         if order != 0:
             raise ParseError(
                 "negative powers apply only to underived generators",
                 self.text,
                 tok.pos,
             )
-        if name not in self.ctx.invertible:
+        if name not in INVERTIBLE:
             raise ParseError(
                 f"generator {name!r} is not declared invertible", self.text, tok.pos
             )
-        atom = Atom(name, 0, True)
-        acc = NCExpr.one(self.ctx)
-        single = NCExpr(self.ctx, {(atom,): Scalar.one()})
-        for _ in range(-power):
-            acc = acc * single
-        return acc
-
-    def _macro_power(self, base: NCExpr, tok: _Token) -> NCExpr:
-        power = self._caret_value()
-        if power is None:
-            return base
-        if power < 0:
-            raise ParseError(
-                "macros admit only non-negative exponents", self.text, tok.pos
-            )
-        acc = NCExpr.one(self.ctx)
-        for _ in range(power):
-            acc = acc * base
-        return acc
+        return NCExpr.gen(name, 0, True) ** -power
 
 
-def parse(text: str, ctx: GenContext = DEFAULT_CONTEXT) -> NCExpr:
+def parse(text: str) -> NCExpr:
     """Parse expression text into an (unnormalized) expression.
 
     The grammar: sums/differences of terms; terms are ``*``-products of
@@ -1166,7 +1101,7 @@ def parse(text: str, ctx: GenContext = DEFAULT_CONTEXT) -> NCExpr:
     commutators ``[a,b]`` / ``[a,b]_-`` and anticommutators ``[a,b]_+``,
     and parenthesized expressions.  ``print``/``parse`` round-trip.
     """
-    return _Parser(text, ctx).parse()
+    return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -1182,9 +1117,8 @@ class Rule:
     replacement: NCExpr
 
     def __post_init__(self):
-        ctx = self.replacement.ctx
         for atom in self.pattern:
-            ctx.check_atom(atom)
+            _check_atom(atom)
         for word in self.replacement.terms:
             for i in range(len(word) - 1):
                 if (word[i], word[i + 1]) == self.pattern:
@@ -1207,18 +1141,14 @@ class RuleSet:
         name: str,
         rules: Iterable[Rule],
         max_passes: int = DEFAULT_PASS_BUDGET,
-        ctx: GenContext = DEFAULT_CONTEXT,
     ):
         if max_passes <= 0:
             raise RuleError("the pass budget must be positive")
         self.name = name
         self.rules = tuple(rules)
         self.max_passes = max_passes
-        self.ctx = ctx
         table: dict[tuple[Atom, Atom], Rule] = {}
         for rule in self.rules:
-            if rule.replacement.ctx != ctx:
-                raise ContextError("rule from a different generator context")
             table.setdefault(rule.pattern, rule)
         self._table = table
 
@@ -1237,14 +1167,9 @@ class RuleSet:
 def combine_rulesets(name: str, *rulesets: RuleSet) -> RuleSet:
     if not rulesets:
         raise RuleError("no rule sets to combine")
-    ctx = rulesets[0].ctx
-    rules: list[Rule] = []
-    for rs in rulesets:
-        if rs.ctx != ctx:
-            raise ContextError("rule sets from different generator contexts")
-        rules.extend(rs.rules)
+    rules = [rule for rs in rulesets for rule in rs.rules]
     budget = max(rs.max_passes for rs in rulesets)
-    return RuleSet(name, rules, budget, ctx)
+    return RuleSet(name, rules, budget)
 
 
 def _resolve_budget(rules: RuleSet, budget: int | None) -> int:
@@ -1278,13 +1203,10 @@ def normalize(e: NCExpr, rules: RuleSet | None, budget: int | None = None) -> NC
     """
     if rules is None:
         return e
-    if rules.ctx != e.ctx:
-        raise ContextError("rule set from a different generator context")
     limit = _resolve_budget(rules, budget)
 
-    ctx = e.ctx
     pending: dict[tuple, Scalar] = dict(e.terms)
-    heap = [(_word_key(ctx, w), w) for w in pending]
+    heap = [(_word_key(w), w) for w in pending]
     heapq.heapify(heap)
     done: dict[tuple, Scalar] = {}
     applications = 0
@@ -1313,14 +1235,14 @@ def normalize(e: NCExpr, rules: RuleSet | None, budget: int | None = None) -> NC
             if acc is None:
                 if add:
                     pending[new_word] = add
-                    heapq.heappush(heap, (_word_key(ctx, new_word), new_word))
+                    heapq.heappush(heap, (_word_key(new_word), new_word))
                 continue
             add = acc + add
             if add:
                 pending[new_word] = add
             else:
                 del pending[new_word]
-    return NCExpr._of(e.ctx, done)
+    return NCExpr._of(done)
 
 
 # ---------------------------------------------------------------------------
@@ -1341,98 +1263,83 @@ def anticommutator(a: NCExpr, b: NCExpr) -> NCExpr:
 # ---------------------------------------------------------------------------
 
 
-def _half_i_hbar(ctx: GenContext) -> NCExpr:
-    return NCExpr(ctx, {(): Scalar.mono(QQi(0, Fraction(1, 2)), hbar=1)})
+def _z_tower(name: str, gen: str, sign: int) -> RuleSet:
+    """The rules x^(k) * z -> z * x^(k) + sign*(i/2)*hbar*u^(k) for
+    x = ``gen`` and k = 0 .. DERIVATIVE_TOWER_ORDER: normal ordering that
+    pushes z leftward past every derivative of one generator."""
+    z = NCExpr.gen("z")
+    half = NCExpr({(): Scalar.mono(QQi(0, Fraction(sign, 2)), hbar=1)})
+    rules = []
+    for k in range(DERIVATIVE_TOWER_ORDER + 1):
+        repl = z * NCExpr.gen(gen, k) + half * NCExpr.gen("u", k)
+        rules.append(Rule((Atom(gen, k), Atom("z", 0)), repl))
+    return RuleSet(name, rules)
 
 
-def quantum_zv_rules(
-    ctx: GenContext = DEFAULT_CONTEXT, order: int = DERIVATIVE_TOWER_ORDER
-) -> RuleSet:
+def quantum_zv_rules() -> RuleSet:
     """The relation [z, v] = -(i/2)*hbar*u and its derivative tower.
 
     Oriented to push z leftward: v^(k) * z -> z * v^(k) + (i/2)*hbar*u^(k).
     """
-    rules = []
-    for k in range(order + 1):
-        repl = (
-            NCExpr.gen("z", ctx=ctx) * NCExpr.gen("v", k, ctx=ctx)
-            + _half_i_hbar(ctx) * NCExpr.gen("u", k, ctx=ctx)
-        )
-        rules.append(Rule((Atom("v", k), Atom("z", 0)), repl))
-    return RuleSet("quantum-zv", rules, ctx=ctx)
+    return _z_tower("quantum-zv", "v", 1)
 
 
-def quantum_zu_rules(
-    ctx: GenContext = DEFAULT_CONTEXT, order: int = DERIVATIVE_TOWER_ORDER
-) -> RuleSet:
+def quantum_zu_rules() -> RuleSet:
     """The relation [z, u] = -(i/2)*hbar*u and its derivative tower.
 
     Oriented to push z leftward: u^(k) * z -> z * u^(k) + (i/2)*hbar*u^(k).
     """
-    rules = []
-    for k in range(order + 1):
-        repl = (
-            NCExpr.gen("z", ctx=ctx) * NCExpr.gen("u", k, ctx=ctx)
-            + _half_i_hbar(ctx) * NCExpr.gen("u", k, ctx=ctx)
-        )
-        rules.append(Rule((Atom("u", k), Atom("z", 0)), repl))
-    return RuleSet("quantum-zu", rules, ctx=ctx)
+    return _z_tower("quantum-zu", "u", 1)
 
 
-def inverse_rules(ctx: GenContext = DEFAULT_CONTEXT) -> RuleSet:
+def inverse_rules() -> RuleSet:
     """Two-sided cancellation g * g^-1 -> 1 for every invertible generator."""
     rules = []
-    for name in sorted(ctx.invertible, key=ctx.index):
+    for name in sorted(INVERTIBLE, key=_rank):
         plain = Atom(name, 0, False)
         inv = Atom(name, 0, True)
-        one = NCExpr.one(ctx)
+        one = NCExpr.one()
         rules.append(Rule((plain, inv), one))
         rules.append(Rule((inv, plain), one))
-    return RuleSet("inverse-pq", rules, ctx=ctx)
+    return RuleSet("inverse-pq", rules)
 
 
-def commute_vu_rules(
-    ctx: GenContext = DEFAULT_CONTEXT, order: int = DERIVATIVE_TOWER_ORDER
-) -> RuleSet:
+def commute_vu_rules() -> RuleSet:
     """Let v and all its derivatives commute past u and all its derivatives."""
     rules = []
-    for j in range(order + 1):
-        for k in range(order + 1):
-            repl = NCExpr.gen("u", k, ctx=ctx) * NCExpr.gen("v", j, ctx=ctx)
+    for j in range(DERIVATIVE_TOWER_ORDER + 1):
+        for k in range(DERIVATIVE_TOWER_ORDER + 1):
+            repl = NCExpr.gen("u", k) * NCExpr.gen("v", j)
             rules.append(Rule((Atom("v", j), Atom("u", k)), repl))
-    return RuleSet("commute-vu", rules, ctx=ctx)
+    return RuleSet("commute-vu", rules)
 
 
-def commute_uu_rules(
-    ctx: GenContext = DEFAULT_CONTEXT,
-    gen: str = "u",
-    order: int = DERIVATIVE_TOWER_ORDER,
-) -> RuleSet:
-    """Let one generator family commute with its own derivatives (sorted)."""
+def commute_uu_rules() -> RuleSet:
+    """Let u commute with its own derivatives (sorted by order)."""
     rules = []
-    for j in range(order + 1):
+    for j in range(DERIVATIVE_TOWER_ORDER + 1):
         for k in range(j):
-            repl = NCExpr.gen(gen, k, ctx=ctx) * NCExpr.gen(gen, j, ctx=ctx)
-            rules.append(Rule((Atom(gen, j), Atom(gen, k)), repl))
-    return RuleSet("commute-uu", rules, ctx=ctx)
+            repl = NCExpr.gen("u", k) * NCExpr.gen("u", j)
+            rules.append(Rule((Atom("u", j), Atom("u", k)), repl))
+    return RuleSet("commute-uu", rules)
 
 
-def weyl_pii_rules(ctx: GenContext = DEFAULT_CONTEXT) -> RuleSet:
+def weyl_pii_rules() -> RuleSet:
     """The symmetric-form commutation relations [r,q] = 2*hbar*u,
     [u,q] = hbar, [u,r] = hbar, oriented toward the canonical order."""
-    hbar = NCExpr.hbar(ctx=ctx)
-    u = NCExpr.gen("u", ctx=ctx)
-    q = NCExpr.gen("q", ctx=ctx)
-    r = NCExpr.gen("r", ctx=ctx)
+    hbar = NCExpr.hbar()
+    u = NCExpr.gen("u")
+    q = NCExpr.gen("q")
+    r = NCExpr.gen("r")
     rules = [
         Rule((Atom("r", 0), Atom("q", 0)), q * r + 2 * hbar * u),
         Rule((Atom("q", 0), Atom("u", 0)), u * q - hbar),
         Rule((Atom("r", 0), Atom("u", 0)), u * r - hbar),
     ]
-    return RuleSet("weyl-pii", rules, ctx=ctx)
+    return RuleSet("weyl-pii", rules)
 
 
-_BUILTIN_FACTORIES: dict[str, Callable[[GenContext], RuleSet]] = {
+_BUILTIN_FACTORIES: dict[str, Callable[[], RuleSet]] = {
     "quantum-zv": quantum_zv_rules,
     "quantum-zu": quantum_zu_rules,
     "inverse-pq": inverse_rules,
@@ -1444,11 +1351,11 @@ _BUILTIN_FACTORIES: dict[str, Callable[[GenContext], RuleSet]] = {
 BUILTIN_RULESET_NAMES = tuple(sorted(_BUILTIN_FACTORIES))
 
 
-def builtin_ruleset(name: str, ctx: GenContext = DEFAULT_CONTEXT) -> RuleSet:
+def builtin_ruleset(name: str) -> RuleSet:
     try:
         factory = _BUILTIN_FACTORIES[name]
     except KeyError:
         raise LaxlabError(
             f"unknown rule set {name!r}; available: {', '.join(BUILTIN_RULESET_NAMES)}"
         ) from None
-    return factory(ctx)
+    return factory()

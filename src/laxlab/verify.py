@@ -33,16 +33,12 @@ from fractions import Fraction
 from .ncexpr import (
     QQi,
     NCExpr,
-    Rule,
-    RuleSet,
-    Atom,
     LaxlabError,
-    DERIVATIVE_TOWER_ORDER,
-    DEFAULT_CONTEXT as CTX,
+    _z_tower,
     builtin_ruleset,
     normalize,
-    parse,
 )
+from .ncexpr import parse as _p
 from .laxmat import (
     GaugeError,
     Mat2,
@@ -78,16 +74,12 @@ class VerifyError(LaxlabError):
     """Unknown pipeline or malformed verification request."""
 
 
-def _p(text: str) -> NCExpr:
-    return parse(text, CTX)
-
-
 def _ceq(a: NCExpr, b: NCExpr) -> bool:
     return str(a.canonical()) == str(b.canonical())
 
 
 def _up() -> NCExpr:
-    return NCExpr.gen("u", 1, ctx=CTX)
+    return NCExpr.gen("u", 1)
 
 
 def _eq_with(eqs, entry: str, lam_power: int):
@@ -105,7 +97,7 @@ def _lhs_with(eqs, entry: str, lam_power: int) -> NCExpr:
     try:
         return _eq_with(eqs, entry, lam_power).lhs
     except KeyError:
-        return NCExpr.zero(CTX)
+        return NCExpr.zero()
 
 
 def _mat_str(m: Mat2) -> str:
@@ -284,18 +276,6 @@ class _Run:
         )
 
 
-def _flipped_zu_ruleset() -> RuleSet:
-    """Normal-ordering rules u^(k)*z -> z*u^(k) - (i/2)*hbar*u^(k): the sign
-    of the hbar term is deliberately wrong (negative-control mutation)."""
-    half = _p("(i/2)*hbar")
-    z = NCExpr.gen("z", ctx=CTX)
-    rules = []
-    for k in range(DERIVATIVE_TOWER_ORDER + 1):
-        uk = NCExpr.gen("u", k, ctx=CTX)
-        rules.append(Rule((Atom("u", k), Atom("z", 0)), z * uk - half * uk))
-    return RuleSet("quantum-zu-flipped", tuple(rules), ctx=CTX)
-
-
 # ---------------------------------------------------------------------------
 # classical pipeline
 # ---------------------------------------------------------------------------
@@ -305,7 +285,7 @@ def _fn_classical(negative: bool = False) -> _Run:
     qb = fn.q.substitute({"v": _up()})
     if negative:
         # mutation: drop the -alpha/lam term from the spectral member
-        qb = qb + Mat2.from_pauli({"s1": _p("alpha/lam")}, CTX)
+        qb = qb + Mat2.from_pauli({"s1": _p("alpha/lam")})
         run.note("NEGATIVE CONTROL: the -alpha/lam term of the spectral "
                  "member was removed before extraction.")
     residual = zero_curvature_residual(fn.p, qb)
@@ -320,7 +300,7 @@ def _fn_classical(negative: bool = False) -> _Run:
         "fn: entry 12, lam^0, scale -2*i; entry 21, lam^0, scale 2*i",
     )
     resid_form = catalog.build("qmpii-target-residual").lhs.substitute(
-        {"v": NCExpr.zero(CTX)}
+        {"v": NCExpr.zero()}
     )
     run.exact_canonical("matrix-level equation", eq.lhs,
                         "qmpii-target-residual (v = 0)", resid_form)
@@ -348,7 +328,7 @@ def _prop31(negative: bool = False, rules=None) -> _Run:
     pb, qb = pair.p, pair.q
     if negative:
         # mutation: drop the 4*v identity component of the z-member
-        pb = pb - Mat2.from_pauli({"I": _p("4*v")}, CTX)
+        pb = pb - Mat2.from_pauli({"I": _p("4*v")})
         run.note("NEGATIVE CONTROL: the 4*v identity component of the "
                  "z-member was removed before extraction.")
 
@@ -361,18 +341,17 @@ def _prop31(negative: bool = False, rules=None) -> _Run:
                 "s3": _p("-i*(2*u'*u + 2*u*u' + 1)"),
                 "s2": _p("-2*u''"),
                 "s1": _p("4*lam*u'"),
-            },
-            CTX,
+            }
         )
         run.exact_mat("z-derivative display of the spectral member",
                       qb.d_dz(), "(printed display)", v1)
         run.exact_mat("spectral derivative display of the z-member",
                       pb.d_dlambda(), "(-i on s3)",
-                      Mat2.from_pauli({"s3": _p("-i")}, CTX))
+                      Mat2.from_pauli({"s3": _p("-i")}))
         asp = catalog.build("qpii-pair-asprinted")
         run.known_mismatch_mat(
             "spectral member as printed", asp.q, "qpii-pair", qb,
-            expected=Mat2.from_pauli({"s3": _p("-(2-2*i)*u^2")}, CTX),
+            expected=Mat2.from_pauli({"s3": _p("-(2-2*i)*u^2")}),
         )
         run.note("The printed spectral member writes its s3 coefficient as "
                  "-(4*i*lam^2 + i*z + 2*u^2); its own z-derivative display "
@@ -438,18 +417,18 @@ def _prop31(negative: bool = False, rules=None) -> _Run:
             )
         parts12 = n12.split_lambda()
         parts21 = n21.split_lambda()
-        lam1_12 = parts12.get(1, NCExpr.zero(CTX))
-        lam1_21 = parts21.get(1, NCExpr.zero(CTX))
+        lam1_12 = parts12.get(1, NCExpr.zero())
+        lam1_21 = parts21.get(1, NCExpr.zero())
         run.exact("lam-linear parts of the two normalized entries",
                   lam1_12 + lam1_21, "(cancellation on addition)",
-                  NCExpr.zero(CTX))
+                  NCExpr.zero())
         run.note("The raw off-diagonal residual entries carry -2*i*lam*hbar "
                  "and +2*i*lam*hbar respectively; after normalization the "
                  "lam-linear parts are exact negatives and cancel when the "
                  "two equations are added, which is how the lam-free "
                  "second-order equation emerges.")
-        summed = parts12.get(0, NCExpr.zero(CTX)) + parts21.get(
-            0, NCExpr.zero(CTX)
+        summed = parts12.get(0, NCExpr.zero()) + parts21.get(
+            0, NCExpr.zero()
         )
         run.exact_canonical(
             "sum of the lam-free normalized entries", summed,
@@ -514,7 +493,7 @@ def _prop31(negative: bool = False, rules=None) -> _Run:
 # ---------------------------------------------------------------------------
 def _case_i(negative: bool = False) -> _Run:
     run = _Run("case-i")
-    bind = NCExpr.gen("u", ctx=CTX) if negative else _up()
+    bind = NCExpr.gen("u") if negative else _up()
     if negative:
         run.note("NEGATIVE CONTROL: v was bound to u instead of u'.")
     subs = {"v": bind}
@@ -558,12 +537,14 @@ def _case_i(negative: bool = False) -> _Run:
 
 def _case_ii(negative: bool = False) -> _Run:
     run = _Run("case-ii")
-    zu = _flipped_zu_ruleset() if negative else builtin_ruleset("quantum-zu")
+    # the mutation flips the sign of the hbar term in the quantum-zu rules
+    zu = (_z_tower("quantum-zu-flipped", "u", -1) if negative
+          else builtin_ruleset("quantum-zu"))
     if negative:
         run.note("NEGATIVE CONTROL: the sign of the hbar term in the "
                  "normal-ordering rules u^(k)*z -> z*u^(k) +/- (i/2)*hbar*"
                  "u^(k) was flipped.")
-    u = NCExpr.gen("u", ctx=CTX)
+    u = NCExpr.gen("u")
     source = catalog.build("qmpii-target-asprinted").lhs.substitute({"v": u})
     derived = normalize(source.d_dz(), zu)
     run.exact(
@@ -599,7 +580,7 @@ def _case_ii(negative: bool = False) -> _Run:
         catalog.build("pii-classical").lhs.d_dz().scalarize(),
     )
     dm = catalog.build("dmpii").lhs.substitute(
-        {"u": NCExpr.gen("nu", ctx=CTX)}
+        {"u": NCExpr.gen("nu")}
     )
     run.known_mismatch(
         "printed display vs the third-order matrix equation",
@@ -636,7 +617,7 @@ def _case_iii_v0(negative: bool = False) -> _Run:
     run = _Run("case-iii-v0")
     pair = catalog.build("qpii-pair")
     fn = catalog.build("fn-pair")
-    pb = pair.p.substitute({"v": NCExpr.zero(CTX)})
+    pb = pair.p.substitute({"v": NCExpr.zero()})
     qb = pair.q
     if negative:
         run.note("NEGATIVE CONTROL: the hbar -> 0 limit was skipped.")
@@ -672,7 +653,7 @@ def _case_iii_vu(negative: bool = False) -> _Run:
     pb = pair.p.substitute({"v": _up()}).classical_limit()
     run.known_mismatch_mat(
         "z-member at v = u', hbar -> 0", pb, "fn-pair z-member", fn.p,
-        expected=Mat2.from_pauli({"I": _p("4*u'")}, CTX),
+        expected=Mat2.from_pauli({"I": _p("4*u'")}),
     )
     run.note("At v = u' the z-member keeps a 4*u' identity component "
              "relative to the classical pair; identity components drop "
@@ -693,7 +674,7 @@ def _case_iii_vu(negative: bool = False) -> _Run:
                         "pii-classical-derived",
                         catalog.build("pii-classical-derived").lhs)
     alt = zero_curvature_residual(
-        pair.p.substitute({"v": NCExpr.gen("u", ctx=CTX)}), pair.q
+        pair.p.substitute({"v": NCExpr.gen("u")}), pair.q
     ).classical_limit().scalarize()
     alt_eqs = extract_equations(alt, label="case-iii-vu-alt")
     run.assert_true(
@@ -719,7 +700,7 @@ def _prop41_gauge(negative: bool = False) -> _Run:
     g, g_inv = gauge.g, gauge.g_inv
     if negative:
         entries = list(g_inv.entries)
-        entries[0] = entries[0] + NCExpr.one(CTX)
+        entries[0] = entries[0] + NCExpr.one()
         g_inv = Mat2(entries)
         run.note("NEGATIVE CONTROL: the stored inverse of the gauge matrix "
                  "was perturbed by adding 1 to its first entry.")
@@ -739,9 +720,7 @@ def _prop41_gauge(negative: bool = False) -> _Run:
     run.known_mismatch_mat(
         "conjugated z-member vs printed", pt,
         "gauge-pair-asprinted z-member", printed.p,
-        expected=Mat2.from_pauli(
-            {"s2": _p("2*i*lam"), "I": _p("4*v - 4*u")}, CTX
-        ),
+        expected=Mat2.from_pauli({"s2": _p("2*i*lam"), "I": _p("4*v - 4*u")}),
     )
     defs = {
         "p": _p("u^2 + u' + (1/2)*z"),
@@ -756,8 +735,7 @@ def _prop41_gauge(negative: bool = False) -> _Run:
             {
                 "Ip": _p("8*lam^2 - (5/4)*i*hbar"),
                 "Im": _p("8*lam^2 + 2*z + 4*u^2 - 4*u' + (3/4)*i*hbar"),
-            },
-            CTX,
+            }
         ),
     )
     run.note("The printed conjugated pair differs from the exact "
@@ -781,7 +759,7 @@ def _prop41_gauge(negative: bool = False) -> _Run:
     g2 = _eq_with(eqs, "11", 1)
     g12 = _eq_with(eqs, "12", 0)
     g21 = _eq_with(eqs, "21", 0)
-    i_unit = NCExpr.imag_unit(CTX)
+    i_unit = NCExpr.imag_unit()
     run.exact_canonical("conjugated lam-linear equation", g2.lhs,
                         "(lam-linear equation of the unconjugated pair)",
                         e2.lhs)
@@ -803,7 +781,7 @@ def _prop41_gauge(negative: bool = False) -> _Run:
     sysd = catalog.build("qspii-system-asprinted")
     l1, l2, l3 = sysd.equations
     run.exact("third printed line under the defining relations",
-              l3.substitute(defs), "(identity)", NCExpr.zero(CTX))
+              l3.substitute(defs), "(identity)", NCExpr.zero())
     run.exact(
         "sum of the first two printed lines under the defining relations",
         (l1 + l2).substitute(defs), "(derivative commutation relation)",
@@ -868,7 +846,7 @@ def _qp34_chain(negative: bool = False) -> _Run:
                  "log-derivative inversion was flipped.")
     run.exact("half log-derivative solves the delta-form affine relation",
               normalize(delta_form.substitute({"u": u_half}), inv),
-              "(zero)", NCExpr.zero(CTX))
+              "(zero)", NCExpr.zero())
     ua_p = normalize(u_half.d_dz(), inv)
     ua_sq = normalize(u_half * u_half, inv)
     run.exact(
@@ -935,7 +913,7 @@ def _qp34_chain(negative: bool = False) -> _Run:
     uq = _p("(1/2)*(alpha + 1/2)*q^-1 - (1/2)*q'*q^-1")
     run.exact("q-side half log-derivative solves the q-side delta form",
               normalize(q_delta_form.substitute({"u": uq}), inv),
-              "(zero)", NCExpr.zero(CTX))
+              "(zero)", NCExpr.zero())
     e_q = (_p("q - (1/2)*beta - (1/2)*z") - normalize(uq * uq, inv)
            + normalize(uq.d_dz(), inv))
     t_q = normalize(e_q * _p("-2*q"), inv)
@@ -958,7 +936,7 @@ def _qp34_chain(negative: bool = False) -> _Run:
         t.classical_limit().scalarize(),
         "classical-p34-q-derived (q renamed to p)",
         catalog.build("classical-p34-q-derived").lhs.substitute(
-            {"q": NCExpr.gen("p", ctx=CTX)}
+            {"q": NCExpr.gen("p")}
         ).scalarize(),
     )
     run.known_mismatch(
@@ -966,7 +944,7 @@ def _qp34_chain(negative: bool = False) -> _Run:
         t_asp.classical_limit().scalarize(),
         "classical-p34-q (q renamed to p)",
         catalog.build("classical-p34-q").lhs.substitute(
-            {"q": NCExpr.gen("p", ctx=CTX)}
+            {"q": NCExpr.gen("p")}
         ).scalarize(),
         expected=_p("12*p^-1*p'*p'"),
     )
@@ -1018,7 +996,7 @@ def _eliminate_pq(negative: bool = False) -> _Run:
     run.exact("p + q under the defining relations",
               defs["p"] + defs["q"], "2*u^2 + z", _p("2*u^2 + z"))
     run.exact("third printed line under the defining relations",
-              l3.substitute(defs), "(identity)", NCExpr.zero(CTX))
+              l3.substitute(defs), "(identity)", NCExpr.zero())
     p_rhs = _p("p'") - l1
     q_rhs = _p("q'") - l2
     rem = _p("u''") - (p_rhs - q_rhs) / 2
@@ -1225,10 +1203,6 @@ def run_all(negative_control: bool = False) -> list:
     return [run(case, negative_control=negative_control) for case in CASES]
 
 
-def verify_fn_classical() -> VerificationReport:
-    return run("fn-classical")
-
-
 def verify_prop31(rules=None,
                   negative_control: bool = False) -> VerificationReport:
     """Quantum compatibility pipeline.  ``rules`` optionally supplies a
@@ -1241,29 +1215,3 @@ def verify_prop31(rules=None,
     twin, which must report a discrepancy."""
     return _guarded("prop31", _prop31, negative=negative_control,
                     rules=rules)
-
-
-def verify_case(case: str) -> VerificationReport:
-    mapping = {
-        "i": "case-i",
-        "ii": "case-ii",
-        "iii-v0": "case-iii-v0",
-        "iii-vu": "case-iii-vu",
-    }
-    if case not in mapping:
-        raise VerifyError(
-            f"unknown case {case!r}; expected one of {', '.join(mapping)}"
-        )
-    return run(mapping[case])
-
-
-def verify_prop41() -> VerificationReport:
-    return run("prop41-gauge")
-
-
-def derive_p34() -> VerificationReport:
-    return run("qp34-chain")
-
-
-def eliminate_pq() -> VerificationReport:
-    return run("eliminate-pq")

@@ -22,7 +22,6 @@ from laxlab.ncexpr import (
     BUILTIN_RULESET_NAMES,
     Atom,
     NCExpr,
-    DEFAULT_CONTEXT as CTX,
     builtin_ruleset,
     commutator,
     anticommutator,
@@ -128,7 +127,7 @@ _SCALAR_POOL = (
 
 
 def random_scalar(rng: random.Random) -> NCExpr:
-    return parse(rng.choice(_SCALAR_POOL), CTX)
+    return parse(rng.choice(_SCALAR_POOL))
 
 
 def random_expr(
@@ -139,16 +138,16 @@ def random_expr(
     max_order: int = 2,
     inv_gens: tuple = (),
 ) -> NCExpr:
-    e = NCExpr.zero(CTX)
+    e = NCExpr.zero()
     for _ in range(rng.randint(1, max_terms)):
         term = random_scalar(rng)
         for _ in range(rng.randint(0, max_len)):
             gen = rng.choice(gens)
             if gen in inv_gens and rng.random() < 0.3:
-                term = term * NCExpr.gen(gen, 0, True, ctx=CTX)
+                term = term * NCExpr.gen(gen, 0, True)
             else:
                 order = 0 if gen == "z" else rng.randint(0, max_order)
-                term = term * NCExpr.gen(gen, order, ctx=CTX)
+                term = term * NCExpr.gen(gen, order)
         e = e + term
     return e
 
@@ -161,9 +160,9 @@ def run_parser_round_trip(cases: int, seed: int = 101) -> int:
     for k in range(cases):
         e = random_expr(rng, gens=("z", "u", "v", "p", "q", "nu"),
                         inv_gens=("p", "q"))
-        assert parse(str(e), CTX) == e, f"case {k}: {e}"
+        assert parse(str(e)) == e, f"case {k}: {e}"
         c = e.canonical()
-        assert parse(str(c), CTX) == c, f"case {k} canonical: {c}"
+        assert parse(str(c)) == c, f"case {k} canonical: {c}"
     return cases
 
 
@@ -201,10 +200,9 @@ def run_ideal_soundness(cases: int, seed: int = 303) -> int:
     for name in names:
         rs = builtin_ruleset(name)
         for rule in rs.rules:
-            lhs = NCExpr.one(CTX)
+            lhs = NCExpr.one()
             for atom in rule.pattern:
-                lhs = lhs * NCExpr.gen(atom.gen, atom.order, atom.inv,
-                                       ctx=CTX)
+                lhs = lhs * NCExpr.gen(atom.gen, atom.order, atom.inv)
             assert normalize(lhs - rule.replacement, rs).is_zero, (
                 f"{name}: rule {rule.pattern} not in its own kernel"
             )

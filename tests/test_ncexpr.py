@@ -14,7 +14,6 @@ from laxlab.ncexpr import (
     BUILTIN_RULESET_NAMES,
     Atom,
     ContextError,
-    GenContext,
     LaxlabError,
     NCExpr,
     ParseError,
@@ -23,22 +22,23 @@ from laxlab.ncexpr import (
     Rule,
     RuleError,
     RuleSet,
-    DEFAULT_CONTEXT as CTX,
     DEFAULT_PASS_BUDGET,
     DERIVATIVE_TOWER_ORDER,
+    GENERATORS,
     anticommutator,
     builtin_ruleset,
     combine_rulesets,
     commutator,
     normalize,
     parse,
+    _z_tower,
 )
 
 import _oracles as oracles
 
 
 def P(text: str) -> NCExpr:
-    return parse(text, CTX)
+    return parse(text)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +71,7 @@ def test_gaussian_rational_arithmetic():
     a = QQi(Fraction(1, 2), Fraction(-1, 3))
     b = QQi(0, 1)
     assert (a * b).re == Fraction(1, 3) and (a * b).im == Fraction(1, 2)
-    assert P("(1/2 - (1/3)*i) * i") == NCExpr.scalar(a * b, CTX)
+    assert P("(1/2 - (1/3)*i) * i") == NCExpr.scalar(a * b)
     assert P("i*i") == P("-1")
     assert P("i*i*i*i") == P("1")
 
@@ -105,7 +105,7 @@ def test_scalar_macros():
 
 def test_laurent_spectral_powers():
     e = P("lam^-1 * lam")
-    assert e == NCExpr.one(CTX)
+    assert e == NCExpr.one()
     assert P("lam^-2*alpha").d_dlambda() == P("-2*lam^-3*alpha")
 
 
@@ -131,12 +131,12 @@ def test_parse_bracket_macros():
 
 def test_parse_derivative_primes():
     e = P("u'''")
-    assert e == NCExpr.gen("u", 3, ctx=CTX)
-    assert P("z'") == NCExpr.one(CTX)
+    assert e == NCExpr.gen("u", 3)
+    assert P("z'") == NCExpr.one()
 
 
 def test_parse_inverse_atoms():
-    assert P("p^-1*p") != NCExpr.one(CTX)  # free algebra: no relation yet
+    assert P("p^-1*p") != NCExpr.one()  # free algebra: no relation yet
     assert normalize(P("p^-1*p"), builtin_ruleset("inverse-pq")) == P("1")
 
 
@@ -164,7 +164,7 @@ def test_string_round_trip_of_display_forms():
         "p'*p^-1 + delta*p^-1",
     ):
         e = P(text)
-        assert parse(str(e), CTX) == e
+        assert parse(str(e)) == e
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +193,29 @@ def test_d_dlambda_ignores_letters():
 def test_derivative_tower_covers_working_orders():
     assert DERIVATIVE_TOWER_ORDER >= 4
     rs = builtin_ruleset("quantum-zu")
-    uk = NCExpr.gen("u", DERIVATIVE_TOWER_ORDER, ctx=CTX)
+    uk = NCExpr.gen("u", DERIVATIVE_TOWER_ORDER)
     moved = normalize(uk * P("z"), rs)
     assert moved == P("z") * uk + P("(i/2)*hbar") * uk
+
+
+def test_z_towers_equal_hand_written_rules():
+    """quantum-zv, quantum-zu and the sign-flipped quantum-zu twin of the
+    case-ii negative control hold exactly the rules
+    x^(k)*z -> z*x^(k) +/- (i/2)*hbar*u^(k), k = 0..8, in that order."""
+    towers = (
+        (builtin_ruleset("quantum-zv"), "quantum-zv", "v", "+"),
+        (builtin_ruleset("quantum-zu"), "quantum-zu", "u", "+"),
+        (_z_tower("quantum-zu-flipped", "u", -1), "quantum-zu-flipped", "u",
+         "-"),
+    )
+    for rs, name, x, sign in towers:
+        assert rs.name == name
+        assert len(rs.rules) == 9
+        for k, rule in zip(range(9), rs.rules):
+            primes = "'" * k
+            assert rule.pattern == (Atom(x, k), Atom("z", 0))
+            assert rule.replacement == P(
+                f"z*{x}{primes} {sign} (i/2)*hbar*u{primes}")
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +287,7 @@ def test_canonical_scale_invariance():
 
 
 def test_canonical_of_zero():
-    assert NCExpr.zero(CTX).canonical().is_zero
+    assert NCExpr.zero().canonical().is_zero
 
 
 def test_min_word_and_coefficient():
@@ -328,7 +348,7 @@ def test_combine_rulesets():
 
 def _word_order_key(word: tuple) -> tuple:
     return (len(word),
-            tuple((CTX.index(a.gen), a.order, int(a.inv)) for a in word))
+            tuple((GENERATORS.index(a.gen), a.order, int(a.inv)) for a in word))
 
 
 def _min_scan_normalize(e: NCExpr, rules: RuleSet) -> NCExpr:
@@ -352,14 +372,14 @@ def _min_scan_normalize(e: NCExpr, rules: RuleSet) -> NCExpr:
                 target[w] = total
             else:
                 target.pop(w, None)
-    return NCExpr(CTX, done)
+    return NCExpr(done)
 
 
 class _RecordingRuleSet(RuleSet):
     """A rule set that records every word it is asked to match."""
 
     def __init__(self, base: RuleSet):
-        super().__init__(base.name, base.rules, base.max_passes, base.ctx)
+        super().__init__(base.name, base.rules, base.max_passes)
         self.seen = []
 
     def find(self, word):
@@ -372,11 +392,11 @@ def _uphill_rules() -> RuleSet:
     cancel a word that is still pending and a later rewrite can add it
     again: z*u -> u*z and z*v -> u*z - hbar*v (terminating: z only moves
     right)."""
-    z, u, v = (NCExpr.gen(g, ctx=CTX) for g in "zuv")
+    z, u, v = (NCExpr.gen(g) for g in "zuv")
     return RuleSet("uphill", (
         Rule((Atom("z"), Atom("u")), u * z),
-        Rule((Atom("z"), Atom("v")), u * z - NCExpr.hbar(ctx=CTX) * v),
-    ), ctx=CTX)
+        Rule((Atom("z"), Atom("v")), u * z - NCExpr.hbar() * v),
+    ))
 
 
 def _assert_same_as_min_scan(e: NCExpr, rules: RuleSet) -> NCExpr:
@@ -396,7 +416,7 @@ _COEFFS = st.sampled_from(("1", "-1", "2", "-1/2", "i", "(1-i)", "hbar",
 _SUMS = st.lists(
     st.tuples(_COEFFS, st.lists(_ATOMS, max_size=2).map(tuple)),
     min_size=1, max_size=4,
-).map(lambda terms: NCExpr(CTX, {w: P(c).terms[()] for c, w in terms}))
+).map(lambda terms: NCExpr({w: P(c).terms[()] for c, w in terms}))
 # Powers of a small sum contain words in several orders at once (u*z and
 # z*u), so rewrites often land on words that are pending or already final.
 _EXPRS = st.builds(lambda a, k, b: a ** k * b, _SUMS, st.integers(1, 3), _SUMS)
@@ -417,8 +437,8 @@ _SIGNED_COEFFS = st.sampled_from(("1", "-1", "2", "-1/2", "i", "-i", "hbar",
 _CANCELLING_SUMS = st.lists(
     st.tuples(_SIGNED_COEFFS, st.lists(_ATOMS, max_size=2).map(tuple)),
     min_size=1, max_size=5,
-).map(lambda terms: sum((P(c) * NCExpr(CTX, {w: 1}) for c, w in terms),
-                        NCExpr.zero(CTX)))
+).map(lambda terms: sum((P(c) * NCExpr({w: 1}) for c, w in terms),
+                        NCExpr.zero()))
 
 
 def _assert_no_stored_zero(e: NCExpr) -> None:
@@ -511,23 +531,14 @@ def test_explicit_budget_beats_env(monkeypatch):
 
 def test_ruleset_rejects_empty_budget():
     with pytest.raises(RuleError):
-        RuleSet("bad", (), max_passes=0, ctx=CTX)
+        RuleSet("bad", (), max_passes=0)
 
 
 def test_hand_built_ruleset():
-    z = NCExpr.gen("z", ctx=CTX)
-    u = NCExpr.gen("u", ctx=CTX)
-    rs = RuleSet(
-        "swap-uz", (Rule((Atom("u"), Atom("z")), z * u),), ctx=CTX
-    )
+    z = NCExpr.gen("z")
+    u = NCExpr.gen("u")
+    rs = RuleSet("swap-uz", (Rule((Atom("u"), Atom("z")), z * u),))
     assert normalize(P("u*z"), rs) == P("z*u")
-
-
-def test_context_mismatch_rejected():
-    other = GenContext(names=("x",), invertible=frozenset())
-    e = NCExpr.gen("x", ctx=other)
-    with pytest.raises((ContextError, LaxlabError)):
-        e + NCExpr.gen("u", ctx=CTX)
 
 
 def test_commutator_helpers_match_methods():

@@ -9,7 +9,6 @@ from laxlab import catalog, verify
 from laxlab.laxmat import extract_equations, zero_curvature_residual
 from laxlab.ncexpr import (
     NCExpr,
-    DEFAULT_CONTEXT as CTX,
     builtin_ruleset,
     combine_rulesets,
     parse,
@@ -17,7 +16,7 @@ from laxlab.ncexpr import (
 
 
 def P(text: str) -> NCExpr:
-    return parse(text, CTX)
+    return parse(text)
 
 
 #: expected status per pipeline: which ones close exactly and which carry
@@ -67,7 +66,7 @@ def test_unknown_case_rejected():
     with pytest.raises(verify.VerifyError):
         verify.run("prop99")
     with pytest.raises(verify.VerifyError):
-        verify.verify_case("vii")
+        verify.run("vii")
 
 
 def test_run_all_covers_every_case_in_order():
@@ -233,12 +232,7 @@ def test_classical_limit_commutes_with_extraction_on_prop31():
 
 
 def test_named_wrappers_map_to_pipelines():
-    assert verify.verify_fn_classical().case == "fn-classical"
     assert verify.verify_prop31().case == "prop31"
-    assert verify.verify_case("i").case == "case-i"
-    assert verify.verify_case("ii").case == "case-ii"
-    assert verify.verify_case("iii-v0").case == "case-iii-v0"
-    assert verify.verify_case("iii-vu").case == "case-iii-vu"
-    assert verify.verify_prop41().case == "prop41-gauge"
-    assert verify.derive_p34().case == "qp34-chain"
-    assert verify.eliminate_pq().case == "eliminate-pq"
+    for case in ("fn-classical", "case-i", "case-ii", "case-iii-v0",
+                 "case-iii-vu", "prop41-gauge", "qp34-chain", "eliminate-pq"):
+        assert verify.run(case).case == case
