@@ -27,11 +27,7 @@ __all__ = [
     "zero_curvature_residual",
     "extract_equations",
     "gauge_transform",
-    "PAULI_NAMES",
 ]
-
-#: Component names used by the Pauli decomposition, in reporting order.
-PAULI_NAMES = ("I", "s1", "s2", "s3")
 
 _HALF = QQi(Fraction(1, 2))
 _HALF_I = QQi(0, Fraction(1, 2))
@@ -234,24 +230,8 @@ class ProvenanceItem(NamedTuple):
     scale: QQi
 
     def describe(self) -> str:
-        num = _format_qqi(self.scale)
-        return f"entry {self.entry}, lam^{self.lam_power}, scale {num}"
-
-
-def _format_qqi(c: QQi) -> str:
-    def frac(f: Fraction) -> str:
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-    if c.re and c.im:
-        sign = "+" if c.im > 0 else "-"
-        mag = abs(c.im)
-        im = "i" if mag == 1 else f"{frac(mag)}*i"
-        return f"{frac(c.re)}{sign}{im}"
-    if c.im:
-        mag = abs(c.im)
-        body = "i" if mag == 1 else f"{frac(mag)}*i"
-        return body if c.im > 0 else f"-{body}"
-    return frac(c.re)
+        return (f"entry {self.entry}, lam^{self.lam_power}, "
+                f"scale {self.scale}")
 
 
 @dataclass(frozen=True)

@@ -248,6 +248,16 @@ class QQi:
     def __repr__(self):
         return f"QQi({self.re!r}, {self.im!r})"
 
+    def __str__(self):
+        if not self.im:
+            return _format_fraction(self.re)
+        mag = abs(self.im)
+        body = "i" if mag == 1 else f"{_format_fraction(mag)}*i"
+        if self.re:
+            joiner = "+" if self.im > 0 else "-"
+            return f"{_format_fraction(self.re)}{joiner}{body}"
+        return body if self.im > 0 else f"-{body}"
+
 
 _QQI_ONE = QQi(1)
 _QQI_I = QQi(0, 1)
@@ -459,6 +469,8 @@ class NCExpr:
         clean: dict[tuple, Scalar] = {}
         if terms:
             for word, scal in terms.items():
+                for atom in word:
+                    _check_atom(atom)
                 if not isinstance(scal, Scalar):
                     scal = Scalar.from_value(scal)
                 _add_into(clean, word, scal)
@@ -492,19 +504,11 @@ class NCExpr:
         if name == "z" and order >= 1 and not inv:
             # z' is the multiplicative identity, higher derivatives vanish
             return cls.one() if order == 1 else cls.zero()
-        return cls({(atom,): Scalar.one()})
-
-    @classmethod
-    def lam(cls, power: int = 1) -> "NCExpr":
-        return cls({(): Scalar.mono(1, lam=power)})
+        return cls._of({(atom,): Scalar.one()})
 
     @classmethod
     def hbar(cls, power: int = 1) -> "NCExpr":
         return cls({(): Scalar.mono(1, hbar=power)})
-
-    @classmethod
-    def alpha(cls, power: int = 1) -> "NCExpr":
-        return cls({(): Scalar.mono(1, alpha=power)})
 
     @classmethod
     def imag_unit(cls) -> "NCExpr":
@@ -720,7 +724,7 @@ class NCExpr:
                     else:
                         factor = tower(atom.gen, atom.order)
                 else:
-                    factor = NCExpr({(atom,): Scalar.one()})
+                    factor = NCExpr._of({(atom,): Scalar.one()})
                 acc = acc * factor
             result = result + acc
         return result
@@ -866,17 +870,10 @@ def _format_term(word: tuple, key: ExpKey, c: QQi) -> tuple[int, str]:
 
     if c.re and c.im:
         # mixed complex number: keep it intact inside parentheses
-        re_s = _format_fraction(c.re)
-        im_abs = abs(c.im)
-        im_s = "i" if im_abs == 1 else f"{_format_fraction(im_abs)}*i"
-        joiner = "+" if c.im > 0 else "-"
-        head = f"({re_s}{joiner}{im_s})"
-        return 1, "*".join([head] + tail)
+        return 1, "*".join([f"({c})"] + tail)
     if c.im:
         sign = 1 if c.im > 0 else -1
-        mag = abs(c.im)
-        head = "i" if mag == 1 else f"{_format_fraction(mag)}*i"
-        return sign, "*".join([head] + tail)
+        return sign, "*".join([str(c if sign > 0 else -c)] + tail)
     sign = 1 if c.re > 0 else -1
     mag = abs(c.re)
     if mag == 1 and tail:

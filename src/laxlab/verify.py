@@ -14,8 +14,10 @@ form of their difference.  Three statuses exist:
   comparison it is expected to close.  Only internal inconsistency produces
   this status; documented deviations of printed forms do not.
 
-Every ``expected`` difference passed to a mismatch record was frozen from
-an independent computation before the pipeline was written; pipelines never
+``_Run.compare`` is the one place where a comparison's verdict is decided:
+an exact match, or a documented mismatch whose difference must equal a
+frozen ``expected`` value.  Every ``expected`` difference was frozen from an
+independent computation before the pipeline was written; pipelines never
 invent the values they check against.
 
 Each pipeline also has a mutated twin (``negative_control=True``) that
@@ -72,10 +74,6 @@ CASES = (
 
 class VerifyError(LaxlabError):
     """Unknown pipeline or malformed verification request."""
-
-
-def _ceq(a: NCExpr, b: NCExpr) -> bool:
-    return str(a.canonical()) == str(b.canonical())
 
 
 def _up() -> NCExpr:
@@ -190,70 +188,41 @@ class _Run:
         self.record(provenance, expression, matched_target,
                     "0" if ok else "FAILED")
 
-    def exact(self, provenance: str, a: NCExpr, target_name: str, b: NCExpr):
-        ok = a == b
-        if not ok:
-            self.failed = True
-        self.record(provenance, str(a), target_name,
-                    "0" if ok else f"MISMATCH: {a - b}")
+    def compare(self, provenance: str, a, target_name: str, b,
+                expected=None, canonical: bool = False):
+        """Compare ``a`` with ``b`` (both ``NCExpr`` or both ``Mat2``) and
+        record the verdict; the one place a comparison is decided.
 
-    def exact_canonical(self, provenance: str, a: NCExpr, target_name: str,
-                        b: NCExpr):
-        ok = _ceq(a, b)
-        diff = a.canonical() - b.canonical()
-        if not ok:
-            self.failed = True
-        self.record(provenance, str(a.canonical()), target_name,
-                    "0" if ok else f"MISMATCH: {diff}")
-
-    def known_mismatch(self, provenance: str, a: NCExpr, target_name: str,
-                       b: NCExpr, expected: NCExpr, canonical: bool = True):
-        """A comparison that is documented NOT to close: the difference must
-        equal the independently frozen ``expected`` value (up to overall
-        scale), else the pipeline itself is inconsistent."""
+        Without ``expected`` the two must be equal.  With ``expected`` the
+        comparison is documented NOT to close: the difference ``a - b``
+        must equal the independently frozen ``expected`` value, up to
+        overall scale for expressions, literally and nonzero for matrices.
+        ``canonical`` first divides each expression by its canonical
+        scale."""
+        is_mat = isinstance(a, Mat2)
+        show = _mat_str if is_mat else str
         if canonical:
-            diff = a.canonical() - b.canonical()
-            shown = str(a.canonical())
+            a, b = a.canonical(), b.canonical()
+        if expected is None:
+            ok = a == b
+            difference = "0" if ok else f"MISMATCH: {show(a - b)}"
         else:
             diff = a - b
-            shown = str(a)
-        if diff.is_zero and not expected.is_zero:
-            ok = False
-        else:
-            ok = _ceq(diff, expected) if not diff.is_zero else expected.is_zero
-        if ok:
-            self.noted = True
-            self.record(provenance, shown, target_name, str(diff))
-        else:
-            self.failed = True
-            self.record(provenance, shown, target_name,
-                        f"MISMATCH: expected {expected}, got {diff}")
+            if is_mat:
+                ok = diff == expected and not expected.is_zero
+            else:
+                ok = diff.canonical() == expected.canonical()
+            difference = (show(diff) if ok else
+                          f"MISMATCH: expected {show(expected)}, "
+                          f"got {show(diff)}")
+            self.noted |= ok
+        self.failed |= not ok
+        self.record(provenance, show(a), target_name, difference)
 
     def unmatched(self, provenance: str, a: NCExpr, note: str):
         self.noted = True
         self.record(provenance, str(a), "(no printed counterpart)", "")
         self.note(note)
-
-    def exact_mat(self, provenance: str, a: Mat2, target_name: str, b: Mat2):
-        ok = a == b
-        if not ok:
-            self.failed = True
-        self.record(provenance, _mat_str(a), target_name,
-                    "0" if ok else f"MISMATCH: {_mat_str(a - b)}")
-
-    def known_mismatch_mat(self, provenance: str, a: Mat2, target_name: str,
-                           b: Mat2, expected: Mat2):
-        diff = a - b
-        if diff == expected and not expected.is_zero:
-            self.noted = True
-            self.record(provenance, _mat_str(a), target_name, _mat_str(diff))
-        else:
-            self.failed = True
-            self.record(
-                provenance, _mat_str(a), target_name,
-                f"MISMATCH: expected {_mat_str(expected)}, "
-                f"got {_mat_str(diff)}",
-            )
 
     def assert_close(self, provenance: str, value: float, tol: float):
         ok = value == value and value < tol  # NaN fails
@@ -302,20 +271,20 @@ def _fn_classical(negative: bool = False) -> _Run:
     resid_form = catalog.build("qmpii-target-residual").lhs.substitute(
         {"v": NCExpr.zero()}
     )
-    run.exact_canonical("matrix-level equation", eq.lhs,
-                        "qmpii-target-residual (v = 0)", resid_form)
+    run.compare("matrix-level equation", eq.lhs,
+                "qmpii-target-residual (v = 0)", resid_form, canonical=True)
     sc = eq.lhs.scalarize()
-    run.exact_canonical("scalar mode", sc, "pii-classical-derived",
-                        catalog.build("pii-classical-derived").lhs)
+    run.compare("scalar mode", sc, "pii-classical-derived",
+                catalog.build("pii-classical-derived").lhs, canonical=True)
     printed = catalog.build("pii-classical").lhs
-    run.known_mismatch("scalar mode vs printed convention", sc,
-                       "pii-classical", printed, expected=_p("2*z*u"))
+    run.compare("scalar mode vs printed convention", sc,
+                "pii-classical", printed, expected=_p("2*z*u"), canonical=True)
     run.note("The compatibility closes on the +z*u convention "
              "(pii-classical-derived); the printed head equation carries "
              "-z*u.  The reflection z -> -z with alpha fixed maps one onto "
              "the other exactly.")
-    run.exact_canonical("scalar mode under z -> -z", sc.reflect_z(),
-                        "pii-classical", printed)
+    run.compare("scalar mode under z -> -z", sc.reflect_z(),
+                "pii-classical", printed, canonical=True)
     return run
 
 
@@ -343,13 +312,13 @@ def _prop31(negative: bool = False, rules=None) -> _Run:
                 "s1": _p("4*lam*u'"),
             }
         )
-        run.exact_mat("z-derivative display of the spectral member",
-                      qb.d_dz(), "(printed display)", v1)
-        run.exact_mat("spectral derivative display of the z-member",
-                      pb.d_dlambda(), "(-i on s3)",
-                      Mat2.from_pauli({"s3": _p("-i")}))
+        run.compare("z-derivative display of the spectral member",
+                    qb.d_dz(), "(printed display)", v1)
+        run.compare("spectral derivative display of the z-member",
+                    pb.d_dlambda(), "(-i on s3)",
+                    Mat2.from_pauli({"s3": _p("-i")}))
         asp = catalog.build("qpii-pair-asprinted")
-        run.known_mismatch_mat(
+        run.compare(
             "spectral member as printed", asp.q, "qpii-pair", qb,
             expected=Mat2.from_pauli({"s3": _p("-(2-2*i)*u^2")}),
         )
@@ -364,8 +333,8 @@ def _prop31(negative: bool = False, rules=None) -> _Run:
         asp_main = _eq_with(asp_eqs, "12", 0)
         run.assert_true(
             "as-printed member compatibility",
-            not _ceq(asp_main.lhs,
-                     catalog.build("qmpii-target-residual").lhs),
+            asp_main.lhs.canonical()
+            != catalog.build("qmpii-target-residual").lhs.canonical(),
             str(asp_main.lhs),
             "must NOT match qmpii-target-residual (cubic term becomes "
             "2*i*u^3)",
@@ -376,22 +345,20 @@ def _prop31(negative: bool = False, rules=None) -> _Run:
         d_minus = _p("4*lam*u' - 4*i*u^3 - i*[z,u]_+ - 2*i*alpha "
                      "- 2*i*hbar*[v,u']_- - 2*i*lam*hbar")
         diag_pr = _p("i*[z,v]_- - 2*i*[u,u']_+ - (1/2)*hbar*u")
-        run.known_mismatch(
+        run.compare(
             "commutator entry 12 vs printed display", comm.entries[1],
             "(printed delta-plus display)", d_plus,
-            expected=_p("-16*lam*[u,v] - 6*i*[u',v]"), canonical=False,
+            expected=_p("-16*lam*[u,v] - 6*i*[u',v]"),
         )
-        run.known_mismatch(
+        run.compare(
             "commutator entry 21 vs printed display", comm.entries[2],
             "(printed delta-minus display)", d_minus,
             expected=_p("-16*lam*[u,v] + 8*i*[u',v] - 2*i*hbar*[u',v]"),
-            canonical=False,
         )
-        run.known_mismatch(
+        run.compare(
             "commutator entry 11 vs printed display", comm.entries[0],
             "(printed diagonal display)", diag_pr,
             expected=_p("-(3/2)*hbar*u + 3*i*[z,v] + 8*i*[u^2,v]"),
-            canonical=False,
         )
         run.note("The printed commutator displays disagree with the exact "
                  "commutator by the frozen differences recorded above "
@@ -405,12 +372,12 @@ def _prop31(negative: bool = False, rules=None) -> _Run:
         n12 = residual.entries[1].scalar_mul(QQi(0, Fraction(-1, 2)))
         n21 = residual.entries[2].scalar_mul(QQi(0, Fraction(1, 2)))
         if rules is None:
-            run.exact(
+            run.compare(
                 "off-diagonal residual entry 12 over 2*i", n12, "(frozen)",
                 _p("-alpha + lam*hbar + u'' - (1/2)*[z,u]_+ "
                    "- 8*i*lam*[u,v] + 4*[u',v] - 2*u^3"),
             )
-            run.exact(
+            run.compare(
                 "off-diagonal residual entry 21 over -2*i", n21, "(frozen)",
                 _p("-alpha - lam*hbar + u'' - (1/2)*[z,u]_+ "
                    "+ 8*i*lam*[u,v] + 4*[u',v] - 2*u^3"),
@@ -419,9 +386,9 @@ def _prop31(negative: bool = False, rules=None) -> _Run:
         parts21 = n21.split_lambda()
         lam1_12 = parts12.get(1, NCExpr.zero())
         lam1_21 = parts21.get(1, NCExpr.zero())
-        run.exact("lam-linear parts of the two normalized entries",
-                  lam1_12 + lam1_21, "(cancellation on addition)",
-                  NCExpr.zero())
+        run.compare("lam-linear parts of the two normalized entries",
+                    lam1_12 + lam1_21, "(cancellation on addition)",
+                    NCExpr.zero())
         run.note("The raw off-diagonal residual entries carry -2*i*lam*hbar "
                  "and +2*i*lam*hbar respectively; after normalization the "
                  "lam-linear parts are exact negatives and cancel when the "
@@ -430,10 +397,11 @@ def _prop31(negative: bool = False, rules=None) -> _Run:
         summed = parts12.get(0, NCExpr.zero()) + parts21.get(
             0, NCExpr.zero()
         )
-        run.exact_canonical(
+        run.compare(
             "sum of the lam-free normalized entries", summed,
             "qmpii-target-residual",
             nrm(catalog.build("qmpii-target-residual").lhs),
+            canonical=True,
         )
 
     eqs = extract_equations(residual, label="prop31")
@@ -443,17 +411,18 @@ def _prop31(negative: bool = False, rules=None) -> _Run:
 
     commz = nrm(catalog.build("commutation-zv").lhs)
     if commz.is_zero:
-        run.exact_canonical(
+        run.compare(
             "diagonal equation under the active rules", e1,
             "commutation-zv (rewritten to 4*i*[v,u^2])",
             nrm(_p("4*i*[v,u^2]")),
+            canonical=True,
         )
         run.note("Under the quantum-zv rules the commutation relation "
                  "rewrites to zero and the diagonal equation reduces to its "
                  "residual 4*i*[v,u^2] obstruction term.")
     else:
-        run.known_mismatch("diagonal equation", e1, "commutation-zv",
-                           commz, expected=nrm(_p("4*i*[v,u^2]")))
+        run.compare("diagonal equation", e1, "commutation-zv",
+                    commz, expected=nrm(_p("4*i*[v,u^2]")), canonical=True)
         run.note("The diagonal of the residual reproduces the printed "
                  "commutation relation [z,v] = -(i/2)*hbar*u only modulo "
                  "4*i*[v,u^2]; the relation as printed therefore also "
@@ -465,20 +434,23 @@ def _prop31(negative: bool = False, rules=None) -> _Run:
         "parts cancel, and it specializes to the derivative commutation "
         "relation under v = u'.",
     )
-    run.exact_canonical("lam-free off-diagonal equation", e3,
-                        "qmpii-target-residual",
-                        nrm(catalog.build("qmpii-target-residual").lhs))
-    run.known_mismatch(
+    run.compare("lam-free off-diagonal equation", e3,
+                "qmpii-target-residual",
+                nrm(catalog.build("qmpii-target-residual").lhs),
+                canonical=True)
+    run.compare(
         "lam-free off-diagonal equation vs printed form", e3,
         "qmpii-target-asprinted",
         nrm(catalog.build("qmpii-target-asprinted").lhs),
         expected=nrm(_p("[z,u]_+")),
+        canonical=True,
     )
-    run.known_mismatch(
+    run.compare(
         "lam-free off-diagonal equation vs printed sum", e3,
         "qmpii-target-derived",
         nrm(catalog.build("qmpii-target-derived").lhs),
         expected=nrm(_p("[z,u]_+ + 3*[v,u']")),
+        canonical=True,
     )
     run.note("Two documented deviations of the printed second-order "
              "equation: the anticommutator (1/2)*[z,u]_+ enters the "
@@ -499,15 +471,15 @@ def _case_i(negative: bool = False) -> _Run:
     subs = {"v": bind}
     printed = catalog.build("qmpii-system-asprinted")
     ci = catalog.build("case-i-system")
-    run.exact("printed second-order equation under v = u'",
-              printed.equations[0].substitute(subs), "case-i-system line 1",
-              ci.equations[0])
-    run.exact("printed commutation relation under v = u'",
-              printed.equations[1].substitute(subs), "case-i-system line 2",
-              ci.equations[1])
-    run.exact("derivative of [z,u]", _p("[z,u]").d_dz(),
-              "[z,u'] (so line 2 is d/dz of the printed relation)",
-              _p("[z,u']"))
+    run.compare("printed second-order equation under v = u'",
+                printed.equations[0].substitute(subs), "case-i-system line 1",
+                ci.equations[0])
+    run.compare("printed commutation relation under v = u'",
+                printed.equations[1].substitute(subs), "case-i-system line 2",
+                ci.equations[1])
+    run.compare("derivative of [z,u]", _p("[z,u]").d_dz(),
+                "[z,u'] (so line 2 is d/dz of the printed relation)",
+                _p("[z,u']"))
 
     pair = catalog.build("qpii-pair")
     eqs = extract_equations(
@@ -516,16 +488,16 @@ def _case_i(negative: bool = False) -> _Run:
     e1 = _eq_with(eqs, "11", 0).lhs.substitute(subs)
     e2 = _eq_with(eqs, "12", 1).lhs.substitute(subs)
     e3 = _eq_with(eqs, "12", 0).lhs.substitute(subs)
-    run.known_mismatch("diagonal equation under v = u'", e1,
-                       "case-i-system line 2", ci.equations[1],
-                       expected=_p("4*i*[u',u^2]"))
+    run.compare("diagonal equation under v = u'", e1,
+                "case-i-system line 2", ci.equations[1],
+                expected=_p("4*i*[u',u^2]"), canonical=True)
     run.note("The specialized diagonal equation reproduces the derivative "
              "commutation relation modulo 4*i*[u',u^2]: the case "
              "implicitly presumes [u', u^2] = 0 along with the relation "
              "itself.")
-    run.known_mismatch("lam-free off-diagonal equation under v = u'", e3,
-                       "case-i-system line 1", ci.equations[0],
-                       expected=_p("[z,u]_+"))
+    run.compare("lam-free off-diagonal equation under v = u'", e3,
+                "case-i-system line 1", ci.equations[0],
+                expected=_p("[z,u]_+"), canonical=True)
     run.unmatched(
         "lam-linear equation under v = u'", e2,
         "Under v = u' the lam-linear constraint becomes "
@@ -547,7 +519,7 @@ def _case_ii(negative: bool = False) -> _Run:
     u = NCExpr.gen("u")
     source = catalog.build("qmpii-target-asprinted").lhs.substitute({"v": u})
     derived = normalize(source.d_dz(), zu)
-    run.exact(
+    run.compare(
         "z-derivative of the second-order equation at v = u", derived,
         "(frozen third-order form)",
         _p("u + (1/4)*i*hbar*u' + u''' + z*u' - 4*u*u'' + 4*u''*u "
@@ -556,14 +528,14 @@ def _case_ii(negative: bool = False) -> _Run:
     disp = catalog.build("case-ii-display").lhs.substitute(
         {"nu": u}
     )
-    run.known_mismatch(
+    run.compare(
         "third-order form vs printed display under the printed shift "
         "x = z - (i/4)*hbar",
         derived, "case-ii-display (z -> z - (i/4)*hbar)",
         disp - _p("(i/4)*hbar*u'"),
-        expected=_p("(1/2)*i*hbar*u'"), canonical=False,
+        expected=_p("(1/2)*i*hbar*u'"),
     )
-    run.exact(
+    run.compare(
         "third-order form vs printed display under the corrected shift "
         "x = z + (i/4)*hbar",
         derived, "case-ii-display (z -> z + (i/4)*hbar)",
@@ -573,37 +545,37 @@ def _case_ii(negative: bool = False) -> _Run:
              "residue (1/2)*i*hbar*u'; the opposite shift "
              "x = z + (i/4)*hbar matches the derived third-order form "
              "exactly.")
-    run.exact_canonical(
+    run.compare(
         "classical scalar limit of the third-order form",
         derived.classical_limit().scalarize(),
         "d/dz of pii-classical",
         catalog.build("pii-classical").lhs.d_dz().scalarize(),
+        canonical=True,
     )
     dm = catalog.build("dmpii").lhs.substitute(
         {"u": NCExpr.gen("nu")}
     )
-    run.known_mismatch(
+    run.compare(
         "printed display vs the third-order matrix equation",
         catalog.build("case-ii-display").lhs, "dmpii", dm,
         expected=_p("(2/3)*nu + (2/3)*z*nu' - 7*nu*nu'' + 7*nu''*nu "
                     "- 2*nu^2*nu' + 4*nu*nu'*nu - 2*nu'*nu^2"),
-        canonical=False,
     )
     run.assert_true(
         "scalar classical limits of the display and the matrix equation",
-        not _ceq(
-            catalog.build("case-ii-display").lhs.substitute({"nu": u})
-            .classical_limit().scalarize(),
-            catalog.build("dmpii").lhs.classical_limit().scalarize(),
-        ),
+        catalog.build("case-ii-display").lhs.substitute({"nu": u})
+        .classical_limit().scalarize().canonical()
+        != catalog.build("dmpii").lhs.classical_limit().scalarize()
+        .canonical(),
         "u + u''' + z*u' - 6*u^2*u'  vs  u + 3*u''' + z*u' - 18*u^2*u'",
         "the two scalar limits must differ (they are related by rescaling "
         "u and z with cube roots of 3, not equal)",
     )
-    run.exact_canonical(
+    run.compare(
         "scalar classical limit of the matrix equation",
         catalog.build("dmpii").lhs.classical_limit().scalarize(),
         "dpii-scalar", catalog.build("dpii-scalar").lhs.scalarize(),
+        canonical=True,
     )
     run.note("The printed identification of the third-order display with "
              "the matrix flow's equation does not hold coefficient-wise "
@@ -624,11 +596,11 @@ def _case_iii_v0(negative: bool = False) -> _Run:
     else:
         pb = pb.classical_limit()
         qb = qb.classical_limit()
-    run.exact_mat("z-member at v = 0, hbar -> 0", pb,
-                  "fn-pair z-member", fn.p)
-    run.exact_mat("spectral member at hbar -> 0", qb,
-                  "fn-pair spectral member (v bound to u')",
-                  fn.q.substitute({"v": _up()}))
+    run.compare("z-member at v = 0, hbar -> 0", pb, "fn-pair z-member",
+                fn.p)
+    run.compare("spectral member at hbar -> 0", qb,
+                "fn-pair spectral member (v bound to u')",
+                fn.q.substitute({"v": _up()}))
     run.note("The printed classical spectral member names v in its s2 "
              "slot; entrywise equality holds with v bound to u', the "
              "binding the classical pipeline itself uses.")
@@ -638,10 +610,11 @@ def _case_iii_v0(negative: bool = False) -> _Run:
     )
     run.assert_true("compatibility extraction", len(eqs) == 1,
                     f"{len(eqs)} equation(s)", "exactly one equation")
-    run.exact_canonical(
+    run.compare(
         "scalar mode of the specialized compatibility",
         eqs[0].lhs.scalarize(), "pii-classical-derived",
         catalog.build("pii-classical-derived").lhs,
+        canonical=True,
     )
     return run
 
@@ -651,7 +624,7 @@ def _case_iii_vu(negative: bool = False) -> _Run:
     pair = catalog.build("qpii-pair")
     fn = catalog.build("fn-pair")
     pb = pair.p.substitute({"v": _up()}).classical_limit()
-    run.known_mismatch_mat(
+    run.compare(
         "z-member at v = u', hbar -> 0", pb, "fn-pair z-member", fn.p,
         expected=Mat2.from_pauli({"I": _p("4*u'")}),
     )
@@ -670,16 +643,16 @@ def _case_iii_vu(negative: bool = False) -> _Run:
     run.assert_true("compatibility extraction", len(eqs) == 1,
                     f"{len(eqs)} equation(s)", "exactly one equation")
     eq = eqs[0]
-    run.exact_canonical("scalar classical compatibility at v = u'", eq.lhs,
-                        "pii-classical-derived",
-                        catalog.build("pii-classical-derived").lhs)
+    run.compare("scalar classical compatibility at v = u'", eq.lhs,
+                "pii-classical-derived",
+                catalog.build("pii-classical-derived").lhs, canonical=True)
     alt = zero_curvature_residual(
         pair.p.substitute({"v": NCExpr.gen("u")}), pair.q
     ).classical_limit().scalarize()
     alt_eqs = extract_equations(alt, label="case-iii-vu-alt")
     run.assert_true(
         "alternative reading v = u", len(alt_eqs) == 1
-        and _ceq(alt_eqs[0].lhs, eq.lhs),
+        and alt_eqs[0].lhs.canonical() == eq.lhs.canonical(),
         str(alt_eqs[0].lhs if alt_eqs else "(none)"),
         "same scalar classical reduction as v = u'",
     )
@@ -712,12 +685,12 @@ def _prop41_gauge(negative: bool = False) -> _Run:
         return run
 
     derived = catalog.build("gauge-pair-derived")
-    run.exact_mat("conjugated z-member", pt, "gauge-pair-derived z-member",
-                  derived.p)
-    run.exact_mat("conjugated spectral member", qt,
-                  "gauge-pair-derived spectral member", derived.q)
+    run.compare("conjugated z-member", pt, "gauge-pair-derived z-member",
+                derived.p)
+    run.compare("conjugated spectral member", qt,
+                "gauge-pair-derived spectral member", derived.q)
     printed = catalog.build("gauge-pair-asprinted")
-    run.known_mismatch_mat(
+    run.compare(
         "conjugated z-member vs printed", pt,
         "gauge-pair-asprinted z-member", printed.p,
         expected=Mat2.from_pauli({"s2": _p("2*i*lam"), "I": _p("4*v - 4*u")}),
@@ -726,7 +699,7 @@ def _prop41_gauge(negative: bool = False) -> _Run:
         "p": _p("u^2 + u' + (1/2)*z"),
         "q": _p("u^2 - u' + (1/2)*z"),
     }
-    run.known_mismatch_mat(
+    run.compare(
         "conjugated spectral member vs printed "
         "(defining relations substituted)",
         qt, "gauge-pair-asprinted spectral member",
@@ -760,18 +733,20 @@ def _prop41_gauge(negative: bool = False) -> _Run:
     g12 = _eq_with(eqs, "12", 0)
     g21 = _eq_with(eqs, "21", 0)
     i_unit = NCExpr.imag_unit()
-    run.exact_canonical("conjugated lam-linear equation", g2.lhs,
-                        "(lam-linear equation of the unconjugated pair)",
-                        e2.lhs)
-    run.exact_canonical(
+    run.compare("conjugated lam-linear equation", g2.lhs,
+                "(lam-linear equation of the unconjugated pair)",
+                e2.lhs, canonical=True)
+    run.compare(
         "conjugated equation from entry 12", g12.lhs,
         "(second-order equation minus i times diagonal equation)",
         e3.lhs.canonical() - i_unit * e1.lhs.canonical(),
+        canonical=True,
     )
-    run.exact_canonical(
+    run.compare(
         "conjugated equation from entry 21", g21.lhs,
         "(second-order equation plus i times diagonal equation)",
         e3.lhs.canonical() + i_unit * e1.lhs.canonical(),
+        canonical=True,
     )
     run.note("Conjugation mixes the unconjugated equations rather than "
              "producing new ones: the off-diagonal equations of the "
@@ -780,9 +755,9 @@ def _prop41_gauge(negative: bool = False) -> _Run:
 
     sysd = catalog.build("qspii-system-asprinted")
     l1, l2, l3 = sysd.equations
-    run.exact("third printed line under the defining relations",
-              l3.substitute(defs), "(identity)", NCExpr.zero())
-    run.exact(
+    run.compare("third printed line under the defining relations",
+                l3.substitute(defs), "(identity)", NCExpr.zero())
+    run.compare(
         "sum of the first two printed lines under the defining relations",
         (l1 + l2).substitute(defs), "(derivative commutation relation)",
         _p("-2*[v,u'] + (i/2)*hbar*u"),
@@ -790,11 +765,12 @@ def _prop41_gauge(negative: bool = False) -> _Run:
     run.note("Adding the first two printed lines encodes the relation "
              "[v,u'] = (i/4)*hbar*u: the printed system is consistent "
              "exactly when that derivative commutation relation holds.")
-    run.exact_canonical(
+    run.compare(
         "difference of the first two printed lines under the defining "
         "relations",
         (l1 - l2).substitute(defs), "(elimination form)",
         _p("u'' - [v,u^2] - (1/2)*[v,z] - 2*u^3 - (1/2)*[z,u]_+ + alpha"),
+        canonical=True,
     )
     return run
 
@@ -808,32 +784,33 @@ def _qp34_chain(negative: bool = False) -> _Run:
     sysd = catalog.build("qspii-system-asprinted")
     l1, l2, _ = sysd.equations
     aff = catalog.build("qp34-affine-asprinted").lhs
-    run.exact("factored affine relation",
-              catalog.build("qp34-affine-factored").lhs,
-              "qp34-affine-asprinted", aff)
-    run.known_mismatch(
+    run.compare("factored affine relation",
+                catalog.build("qp34-affine-factored").lhs,
+                "qp34-affine-asprinted", aff)
+    run.compare(
         "first gauge line under v = u'", l1.substitute({"v": _up()}),
         "qp34-affine-asprinted", aff,
-        expected=_p("[p,u'] + [u,p]"), canonical=False,
+        expected=_p("[p,u'] + [u,p]"),
     )
     run.note("The printed affine relation reorders the first gauge line "
              "silently: it drops [p,u'] + [u,p], i.e. it presumes those "
              "commutators vanish against the relation's other terms.")
 
     delta_form = _p("p' - 2*u*p + delta")
-    run.exact("affine relation under p -> p + beta/2",
-              aff.substitute({"p": _p("p + (1/2)*beta")}),
-              "(delta-form affine relation)", delta_form)
-    run.known_mismatch(
+    run.compare("affine relation under p -> p + beta/2",
+                aff.substitute({"p": _p("p + (1/2)*beta")}),
+                "(delta-form affine relation)", delta_form)
+    run.compare(
         "affine relation under the stated shift p -> p + beta",
         aff.substitute({"p": _p("p + beta")}),
         "(delta-form affine relation)", delta_form,
-        expected=_p("-beta*u"), canonical=False,
+        expected=_p("-beta*u"),
     )
-    run.exact("printed bold definition", catalog.build("qp34-bold-defn").lhs,
-              "qp34-defs line 1 shifted by beta/2",
-              catalog.build("qp34-defs").equations[0].substitute(
-                  {"p": _p("p + (1/2)*beta")}))
+    run.compare("printed bold definition",
+                catalog.build("qp34-bold-defn").lhs,
+                "qp34-defs line 1 shifted by beta/2",
+                catalog.build("qp34-defs").equations[0].substitute(
+                    {"p": _p("p + (1/2)*beta")}))
     run.note("The stated shift by the full beta leaves a -beta*u residue; "
              "the printed bold definition of the shifted variable is the "
              "beta/2 shift, which produces the delta-form exactly.  All "
@@ -844,28 +821,28 @@ def _qp34_chain(negative: bool = False) -> _Run:
     if negative:
         run.note("NEGATIVE CONTROL: the sign of delta in the half "
                  "log-derivative inversion was flipped.")
-    run.exact("half log-derivative solves the delta-form affine relation",
-              normalize(delta_form.substitute({"u": u_half}), inv),
-              "(zero)", NCExpr.zero())
+    run.compare("half log-derivative solves the delta-form affine relation",
+                normalize(delta_form.substitute({"u": u_half}), inv),
+                "(zero)", NCExpr.zero())
     ua_p = normalize(u_half.d_dz(), inv)
     ua_sq = normalize(u_half * u_half, inv)
-    run.exact(
+    run.compare(
         "square of the half log-derivative", ua_sq,
         "qp34-usquare-asprinted display",
         normalize(_p("u^2") - catalog.build("qp34-usquare-asprinted").lhs,
                   inv),
     )
-    run.exact(
+    run.compare(
         "derivative of the half log-derivative", ua_p,
         "qp34-uprime-derived display",
         normalize(_p("u'") - catalog.build("qp34-uprime-derived").lhs, inv),
     )
-    run.known_mismatch(
+    run.compare(
         "derivative of the half log-derivative vs printed display", ua_p,
         "qp34-uprime-asprinted display",
         normalize(_p("u'") - catalog.build("qp34-uprime-asprinted").lhs,
                   inv),
-        expected=_p("(1/2)*p''*p^-1 - delta*p^-1*p'*p^-1"), canonical=False,
+        expected=_p("(1/2)*p''*p^-1 - delta*p^-1*p'*p^-1"),
     )
     run.note("The printed u' display drops (1/2)*p''*p^-1 and flips the "
              "sign of its delta term relative to the exact derivative; "
@@ -873,15 +850,15 @@ def _qp34_chain(negative: bool = False) -> _Run:
 
     e_defn = _p("p + (1/2)*beta - (1/2)*z") - ua_sq - ua_p
     t = normalize(e_defn * _p("-2*p"), inv)
-    run.exact("second-order form of the chain (times -2*p)", t,
-              "qp34-target-derived", catalog.build("qp34-target-derived").lhs)
+    run.compare("second-order form of the chain (times -2*p)", t,
+                "qp34-target-derived",
+                catalog.build("qp34-target-derived").lhs)
     t_asp = catalog.build("qp34-target-asprinted").lhs
-    run.known_mismatch(
+    run.compare(
         "chain outcome vs printed target", t, "qp34-target-asprinted",
         t_asp,
         expected=_p("-p'*p^-1*p' + (1/2)*delta*p'*p^-1 "
                     "- (1/2)*delta*p^-1*p'"),
-        canonical=False,
     )
     run.note("The printed target writes +(1/2)*p'*p^-1*p' where the chain "
              "produces -(1/2)*p'*p^-1*p', and omits the ordered linear "
@@ -892,8 +869,8 @@ def _qp34_chain(negative: bool = False) -> _Run:
     t_b = normalize(
         (s_b - _p("p - (1/2)*z + (1/2)*beta")) * _p("p"), inv
     )
-    run.exact("face-value route with the printed log-derivative", t_b,
-              "qp34-target-routeb", catalog.build("qp34-target-routeb").lhs)
+    run.compare("face-value route with the printed log-derivative", t_b,
+                "qp34-target-routeb", catalog.build("qp34-target-routeb").lhs)
     run.note("Taking the printed no-half log-derivative at face value "
              "yields qp34-target-routeb, which matches neither the printed "
              "target nor the half-log-derivative chain; the printed "
@@ -901,45 +878,45 @@ def _qp34_chain(negative: bool = False) -> _Run:
              "the factor 1/2.")
 
     aff_q = catalog.build("qp34-affine-q").lhs
-    run.known_mismatch(
+    run.compare(
         "second gauge line under v = u'", l2.substitute({"v": _up()}),
         "qp34-affine-q", aff_q,
-        expected=_p("-[u,q] + [u',q]"), canonical=False,
+        expected=_p("-[u,q] + [u',q]"),
     )
     q_delta_form = _p("q' + 2*u*q - alpha - 1/2")
-    run.exact("q-side affine relation under q -> q - beta/2",
-              aff_q.substitute({"q": _p("q - (1/2)*beta")}),
-              "(q-side delta form)", q_delta_form)
+    run.compare("q-side affine relation under q -> q - beta/2",
+                aff_q.substitute({"q": _p("q - (1/2)*beta")}),
+                "(q-side delta form)", q_delta_form)
     uq = _p("(1/2)*(alpha + 1/2)*q^-1 - (1/2)*q'*q^-1")
-    run.exact("q-side half log-derivative solves the q-side delta form",
-              normalize(q_delta_form.substitute({"u": uq}), inv),
-              "(zero)", NCExpr.zero())
+    run.compare("q-side half log-derivative solves the q-side delta form",
+                normalize(q_delta_form.substitute({"u": uq}), inv),
+                "(zero)", NCExpr.zero())
     e_q = (_p("q - (1/2)*beta - (1/2)*z") - normalize(uq * uq, inv)
            + normalize(uq.d_dz(), inv))
     t_q = normalize(e_q * _p("-2*q"), inv)
-    run.exact("q-side chain outcome", t_q, "qp34-target-q-derived",
-              catalog.build("qp34-target-q-derived").lhs)
-    run.known_mismatch(
+    run.compare("q-side chain outcome", t_q, "qp34-target-q-derived",
+                catalog.build("qp34-target-q-derived").lhs)
+    run.compare(
         "q-side outcome vs printed q target", t_q,
         "qp34-target-q-asprinted",
         catalog.build("qp34-target-q-asprinted").lhs,
         expected=_p("alpha*q^-1 + (1/4)*q^-1*q' + (1/2)*alpha*q^-1*q' "
                     "- (1/4)*q'*q^-1 - (1/2)*alpha*q'*q^-1 - q'*q^-1*q'"),
-        canonical=False,
     )
     run.note("The exact q-side pairing is (alpha + 1/2)^2 where the "
              "printed q target reuses delta^2 = (alpha - 1/2)^2; the "
              "frozen difference is recorded above.")
 
-    run.exact_canonical(
+    run.compare(
         "hbar -> 0 scalar limit of the chain outcome",
         t.classical_limit().scalarize(),
         "classical-p34-q-derived (q renamed to p)",
         catalog.build("classical-p34-q-derived").lhs.substitute(
             {"q": NCExpr.gen("p")}
         ).scalarize(),
+        canonical=True,
     )
-    run.known_mismatch(
+    run.compare(
         "hbar -> 0 scalar limit of the printed target",
         t_asp.classical_limit().scalarize(),
         "classical-p34-q (q renamed to p)",
@@ -947,6 +924,7 @@ def _qp34_chain(negative: bool = False) -> _Run:
             {"q": NCExpr.gen("p")}
         ).scalarize(),
         expected=_p("12*p^-1*p'*p'"),
+        canonical=True,
     )
     run.note("The classical limit of the exact chain outcome reproduces "
              "the half-coefficient classical equation "
@@ -966,10 +944,10 @@ def _qp34_comparison(negative: bool = False) -> _Run:
         run.note("NEGATIVE CONTROL: the comparison variant's linear term "
                  "was shifted from (z - hbar^2)*p to (z - 2*hbar^2)*p.")
     half_hbar = catalog.build("results-summary").equations[3]
-    run.exact("printed target minus the hbar^2 variant", t_asp - hbar2,
-              "(hbar^2 - beta)*p", _p("(hbar^2 - beta)*p"))
-    run.exact("printed target minus the hbar/2 variant", t_asp - half_hbar,
-              "((1/2)*hbar - beta)*p", _p("((1/2)*hbar - beta)*p"))
+    run.compare("printed target minus the hbar^2 variant", t_asp - hbar2,
+                "(hbar^2 - beta)*p", _p("(hbar^2 - beta)*p"))
+    run.compare("printed target minus the hbar/2 variant", t_asp - half_hbar,
+                "((1/2)*hbar - beta)*p", _p("((1/2)*hbar - beta)*p"))
     run.note("The three printed versions of the quantum P34 equation "
              "differ only in the coefficient of the linear p term: "
              "z - beta here, z - hbar^2 and z - hbar/2 elsewhere.  Both "
@@ -991,36 +969,36 @@ def _eliminate_pq(negative: bool = False) -> _Run:
                  "factor 1/2 on z.")
     else:
         defs = {"p": _p("u^2 + u' + (1/2)*z"), "q": _p("u^2 - u' + (1/2)*z")}
-    run.exact("p - q under the defining relations",
-              defs["p"] - defs["q"], "2*u'", _p("2*u'"))
-    run.exact("p + q under the defining relations",
-              defs["p"] + defs["q"], "2*u^2 + z", _p("2*u^2 + z"))
-    run.exact("third printed line under the defining relations",
-              l3.substitute(defs), "(identity)", NCExpr.zero())
+    run.compare("p - q under the defining relations",
+                defs["p"] - defs["q"], "2*u'", _p("2*u'"))
+    run.compare("p + q under the defining relations",
+                defs["p"] + defs["q"], "2*u^2 + z", _p("2*u^2 + z"))
+    run.compare("third printed line under the defining relations",
+                l3.substitute(defs), "(identity)", NCExpr.zero())
     p_rhs = _p("p'") - l1
     q_rhs = _p("q'") - l2
     rem = _p("u''") - (p_rhs - q_rhs) / 2
     rem_defs = rem.substitute(defs)
-    run.exact(
+    run.compare(
         "u'' eliminated through the printed lines and defining relations",
         rem_defs, "(elimination form)",
         _p("u'' - [v,u^2] - (1/2)*[v,z] - 2*u^3 - (1/2)*[z,u]_+ + alpha"),
     )
     sc = rem_defs.scalarize()
-    run.exact_canonical("scalar limit of the elimination", sc,
-                        "(scalar second-order form)",
-                        _p("u'' - 2*u^3 - z*u + alpha"))
-    run.exact_canonical(
+    run.compare("scalar limit of the elimination", sc,
+                "(scalar second-order form)",
+                _p("u'' - 2*u^3 - z*u + alpha"), canonical=True)
+    run.compare(
         "scalar limit under z -> -z, alpha -> -alpha",
         sc.reflect_z().negate_alpha(), "pii-classical",
         catalog.build("pii-classical").lhs,
+        canonical=True,
     )
-    run.known_mismatch(
+    run.compare(
         "elimination form vs the anticommutator-form equation", rem_defs,
         "ncpii-vrvr", catalog.build("ncpii-vrvr").lhs,
         expected=_p("2 + alpha + i*hbar - (5/2)*z*u + (1/2)*z*v "
                     "- (5/2)*u*z - (1/2)*v*z + u*u*v - v*u*u"),
-        canonical=False,
     )
     run.note("The anticommutator-form equation is printed with a free "
              "parameter beta; this grammar expands beta as the fixed macro "
@@ -1065,10 +1043,11 @@ def _numeric_p34_map(negative: bool = False) -> _Run:
     run = _Run("numeric-p34-map")
     p_expr = _p("u^2 + u' + (1/2)*z")
     closure = (p_expr.d_dz() - _p("2*u") * p_expr + _p("delta")).scalarize()
-    run.exact_canonical(
+    run.compare(
         "symbolic closure of the map p = u^2 + u' + z/2", closure,
         "(scalar flow u'' = 2*u^3 + z*u - alpha)",
         _p("u'' - 2*u^3 - z*u + alpha").scalarize(),
+        canonical=True,
     )
     run.note("p' - 2*u*p + delta collapses symbolically to "
              "u'' - 2*u^3 - z*u + alpha: the map closes exactly on the "
@@ -1124,10 +1103,11 @@ def _numeric_dpii(negative: bool = False) -> _Run:
 
     run = _Run("numeric-dpii")
     fi = catalog.build("dpii-first-integral").lhs
-    run.exact_canonical(
+    run.compare(
         "z-derivative of the first integral (scalar image)",
         fi.d_dz().scalarize(), "dpii-scalar",
         catalog.build("dpii-scalar").lhs.scalarize(),
+        canonical=True,
     )
     run.note("d/dz of u'' - 2*u^3 + (1/3)*z*u reproduces the scalar "
              "third-order equation exactly, so the integral must be "

@@ -214,7 +214,7 @@ def test_criterion_8_kernel_property_suites():
         oracles.run_scalarize_homomorphism(1000),
     ]
     elapsed = time.monotonic() - t0
-    ok = all(c >= 1000 for c in counts) and elapsed < 30.0
+    ok = all(c == 1000 for c in counts) and elapsed < 30.0
     assert _verdict(
         8, "parser round-trip, Leibniz, ideal soundness, commutator "
         "antisymmetry, scalarize homomorphism: >= 1000 cases each",

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from laxlab import catalog, verify
-from laxlab.laxmat import extract_equations, zero_curvature_residual
+from laxlab.laxmat import Mat2, extract_equations, zero_curvature_residual
 from laxlab.ncexpr import (
     NCExpr,
     builtin_ruleset,
@@ -236,3 +236,58 @@ def test_named_wrappers_map_to_pipelines():
     for case in ("fn-classical", "case-i", "case-ii", "case-iii-v0",
                  "case-iii-vu", "prop41-gauge", "qp34-chain", "eliminate-pq"):
         assert verify.run(case).case == case
+
+
+# ---------------------------------------------------------------------------
+# _Run.compare: one case per outcome
+# ---------------------------------------------------------------------------
+def _compare(a, b, **options):
+    run = verify._Run("compare")
+    run.compare("check", a, "target", b, **options)
+    (rec,) = run.records
+    return run, rec
+
+
+def test_compare_exact_pass():
+    run, rec = _compare(P("u + z"), P("z + u"))
+    assert (rec.expression, rec.difference) == ("z + u", "0")
+    assert run.report().status == verify.VERIFIED
+
+
+def test_compare_exact_mismatch_records_difference():
+    run, rec = _compare(P("2*u + z"), P("u + z"))
+    assert rec.difference == "MISMATCH: u"
+    assert run.report().status == verify.DISCREPANCY
+
+
+def test_compare_canonical_records_canonical_form():
+    run, rec = _compare(P("2*i*z*u + 4*u"), P("z*u - 2*i*u"), canonical=True)
+    assert (rec.expression, rec.difference) == ("u + 1/2*i*z*u", "0")
+    assert not run.failed
+
+
+def test_compare_documented_mismatch_closes_up_to_scale():
+    run, rec = _compare(P("u + 2*z"), P("u"), expected=P("-z"))
+    assert (rec.expression, rec.difference) == ("2*z + u", "2*z")
+    assert run.noted and not run.failed
+    assert run.report().status == verify.VERIFIED_WITH_NOTES
+
+
+def test_compare_zero_difference_closes_against_zero_expected():
+    run, rec = _compare(P("u"), P("u"), expected=NCExpr.zero())
+    assert rec.difference == "0"
+    assert run.noted and not run.failed
+
+
+def test_compare_zero_difference_fails_against_nonzero_expected():
+    run, rec = _compare(P("u"), P("u"), expected=P("z"))
+    assert rec.difference == "MISMATCH: expected z, got 0"
+    assert run.report().status == verify.DISCREPANCY
+
+
+def test_compare_matrix_mismatch_fails_against_zero_expected():
+    m = Mat2.from_pauli({"s1": P("u")})
+    run, rec = _compare(m, m, expected=Mat2.zero())
+    assert (rec.expression, rec.difference) == (
+        "s1: u", "MISMATCH: expected 0, got 0")
+    assert run.report().status == verify.DISCREPANCY
