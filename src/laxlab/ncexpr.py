@@ -34,6 +34,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 __all__ = [
@@ -138,29 +139,52 @@ def _add_into(out: dict, key, val) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _frac(value) -> Fraction:
+def _parts(value) -> tuple[int, int]:
+    """Numerator and positive denominator of an exact real value."""
+    if type(value) is int:
+        return value, 1
     if isinstance(value, float):
         raise TypeError("exact arithmetic only: floats are not accepted here")
-    return Fraction(value)
+    f = value if isinstance(value, Fraction) else Fraction(value)
+    return f.numerator, f.denominator
 
 
 class QQi:
-    """A Gaussian rational: ``re + im*i`` with exact ``Fraction`` parts."""
+    """A Gaussian rational ``(a + b*i)/d`` held as three ints.
 
-    __slots__ = ("re", "im")
+    The denominator ``d`` is positive and ``gcd(a, b, d) == 1``, so every
+    value has exactly one representation: equality compares the three ints
+    and equal values hash equal.  ``re`` and ``im`` give the real and
+    imaginary parts as ``Fraction``s.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = _frac(re)
-        self.im = _frac(im)
+        a, p = _parts(re)
+        b, q = _parts(im)
+        if p != q:
+            a, b, p = a * q, b * p, p * q
+        g = gcd(a, b, p)
+        self.a = a // g
+        self.b = b // g
+        self.d = p // g
 
     # -- helpers ------------------------------------------------------------
     @classmethod
-    def _of(cls, re: Fraction, im: Fraction) -> "QQi":
-        """Build from parts that are already ``Fraction``s, skipping the
-        coercion and validation of ``__init__``."""
+    def _of(cls, a: int, b: int, d: int) -> "QQi":
+        """Build ``(a + b*i)/d`` from ints with ``d > 0``, reducing by the
+        common gcd, without the coercion of ``__init__``."""
+        if d != 1:
+            g = gcd(a, b, d)
+            if g != 1:
+                a //= g
+                b //= g
+                d //= g
         q = object.__new__(cls)
-        q.re = re
-        q.im = im
+        q.a = a
+        q.b = b
+        q.d = d
         return q
 
     @staticmethod
@@ -171,54 +195,72 @@ class QQi:
             return QQi(other)
         return None
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
     # -- ring operations ----------------------------------------------------
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, QQi) else self._coerce(other)
         if o is None:
             return NotImplemented
-        return QQi._of(self.re + o.re, self.im + o.im)
+        d, e = self.d, o.d
+        if d == e:
+            return QQi._of(self.a + o.a, self.b + o.b, d)
+        return QQi._of(self.a * e + o.a * d, self.b * e + o.b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, QQi) else self._coerce(other)
         if o is None:
             return NotImplemented
-        return QQi._of(self.re - o.re, self.im - o.im)
+        return self + (-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return o + (-self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, QQi) else self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b, c, d = self.re, self.im, o.re, o.im
+        a, b, c, d = self.a, self.b, o.a, o.b
+        den = self.d * o.d
         # Rule coefficients are mostly purely real or purely imaginary;
         # the cross products of a zero part are skipped.
         if not b:
-            return QQi._of(a * c, a * d)
+            return QQi._of(a * c, a * d, den)
         if not a:
-            return QQi._of(-(b * d), b * c)
+            return QQi._of(-(b * d), b * c, den)
         if not d:
-            return QQi._of(a * c, b * c)
+            return QQi._of(a * c, b * c, den)
         if not c:
-            return QQi._of(-(b * d), a * d)
-        return QQi._of(a * c - b * d, a * d + b * c)
+            return QQi._of(-(b * d), a * d, den)
+        return QQi._of(a * c - b * d, a * d + b * c, den)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return QQi._of(-self.re, -self.im)
+        q = object.__new__(QQi)
+        q.a = -self.a
+        q.b = -self.b
+        q.d = self.d
+        return q
 
     def inverse(self) -> "QQi":
-        norm = self.re * self.re + self.im * self.im
+        a, b, d = self.a, self.b, self.d
+        norm = a * a + b * b
         if norm == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return QQi(self.re / norm, -self.im / norm)
+        # d / (a + b*i) = d*(a - b*i) / (a^2 + b^2)
+        return QQi._of(d * a, -d * b, norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -237,26 +279,27 @@ class QQi:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self.a == o.a and self.b == o.b and self.d == o.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self.a != 0 or self.b != 0
 
     def __repr__(self):
         return f"QQi({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if not self.im:
-            return _format_fraction(self.re)
-        mag = abs(self.im)
-        body = "i" if mag == 1 else f"{_format_fraction(mag)}*i"
-        if self.re:
-            joiner = "+" if self.im > 0 else "-"
-            return f"{_format_fraction(self.re)}{joiner}{body}"
-        return body if self.im > 0 else f"-{body}"
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            return _format_ratio(a, d)
+        mag = abs(b)
+        body = "i" if mag == d else f"{_format_ratio(mag, d)}*i"
+        if a:
+            joiner = "+" if b > 0 else "-"
+            return f"{_format_ratio(a, d)}{joiner}{body}"
+        return body if b > 0 else f"-{body}"
 
 
 _QQI_ONE = QQi(1)
@@ -843,10 +886,12 @@ class NCExpr:
         return f"NCExpr({self.to_string()})"
 
 
-def _format_fraction(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+def _format_ratio(n: int, d: int) -> str:
+    """Print ``n/d`` (``d > 0``) in lowest terms, as the integer when whole."""
+    g = gcd(n, d)
+    if g == d:
+        return str(n // d)
+    return f"{n // g}/{d // g}"
 
 
 def _atom_texts(word: tuple) -> list[str]:
@@ -868,17 +913,18 @@ def _format_term(word: tuple, key: ExpKey, c: QQi) -> tuple[int, str]:
         centrals.append("alpha" if a == 1 else f"alpha^{a}")
     tail = centrals + _atom_texts(word)
 
-    if c.re and c.im:
+    a, b, d = c.a, c.b, c.d
+    if a and b:
         # mixed complex number: keep it intact inside parentheses
         return 1, "*".join([f"({c})"] + tail)
-    if c.im:
-        sign = 1 if c.im > 0 else -1
+    if b:
+        sign = 1 if b > 0 else -1
         return sign, "*".join([str(c if sign > 0 else -c)] + tail)
-    sign = 1 if c.re > 0 else -1
-    mag = abs(c.re)
-    if mag == 1 and tail:
+    sign = 1 if a > 0 else -1
+    mag = abs(a)
+    if mag == d == 1 and tail:
         return sign, "*".join(tail)
-    return sign, "*".join([_format_fraction(mag)] + tail)
+    return sign, "*".join([_format_ratio(mag, d)] + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -1131,6 +1177,11 @@ class RuleSet:
     Rules are applied leftmost-first: positions are scanned left to right
     and at each position the first matching rule (in registration order)
     fires.  Earlier rules take precedence when two share a pattern.
+
+    ``decreasing`` is true when every word of every replacement is smaller
+    than its rule's pattern in the canonical (shortlex) word order, so that
+    rewriting must terminate; :func:`normalize` then scales its default
+    budget with the input.
     """
 
     def __init__(
@@ -1144,6 +1195,10 @@ class RuleSet:
         self.name = name
         self.rules = tuple(rules)
         self.max_passes = max_passes
+        self.decreasing = all(
+            _word_key(word) < _word_key(rule.pattern)
+            for rule in self.rules for word in rule.replacement.terms
+        )
         table: dict[tuple[Atom, Atom], Rule] = {}
         for rule in self.rules:
             table.setdefault(rule.pattern, rule)
@@ -1169,7 +1224,7 @@ def combine_rulesets(name: str, *rulesets: RuleSet) -> RuleSet:
     return RuleSet(name, rules, budget)
 
 
-def _resolve_budget(rules: RuleSet, budget: int | None) -> int:
+def _resolve_budget(rules: RuleSet, budget: int | None, e: NCExpr) -> int:
     if budget is not None:
         return budget
     env = os.environ.get(PASS_BUDGET_ENV)
@@ -1183,6 +1238,9 @@ def _resolve_budget(rules: RuleSet, budget: int | None) -> int:
         if value <= 0:
             raise LaxlabError(f"{PASS_BUDGET_ENV} must be positive, got {value}")
         return value
+    if rules.decreasing:
+        degree = max(map(len, e.terms), default=0)
+        return max(rules.max_passes, len(e.terms) * degree * degree)
     return rules.max_passes
 
 
@@ -1195,12 +1253,14 @@ def normalize(e: NCExpr, rules: RuleSet | None, budget: int | None = None) -> NC
     since the key is injective the words pop in exactly the order of a
     smallest-word scan over the pending map.  Every rule application counts
     against the budget (explicit argument, then the LAXLAB_PASS_BUDGET
-    environment variable, then the rule set's own maximum); exhausting it
-    raises :class:`PassBudgetExhausted` rather than looping forever.
+    environment variable, then the rule set's own maximum, which for a
+    decreasing rule set is raised to terms x degree^2 of the input);
+    exhausting it raises :class:`PassBudgetExhausted` rather than looping
+    forever.
     """
     if rules is None:
         return e
-    limit = _resolve_budget(rules, budget)
+    limit = _resolve_budget(rules, budget, e)
 
     pending: dict[tuple, Scalar] = dict(e.terms)
     heap = [(_word_key(w), w) for w in pending]

@@ -306,16 +306,14 @@ class Trajectory:
                     header += [f"{name}_re_{r}_{c}", f"{name}_im_{r}_{c}"]
         header.append("fd_residual")
         writer.writerow(header)
-        for k, z in enumerate(self.grid):
-            row = [f"{z:.12g}"]
-            for b in range(self.states.shape[1]):
-                for r in range(n):
-                    for c in range(n):
-                        v = self.states[k, b, r, c]
-                        row += [f"{v.real:.16e}", f"{v.imag:.16e}"]
-            r = self.fd_residual[k]
-            row.append("" if np.isnan(r) else f"{r:.6e}")
-            writer.writerow(row)
+        # Re and Im of every entry, interleaved, one row per grid point
+        states = self.states.reshape(len(self.grid), -1)
+        values = np.stack((states.real, states.imag), axis=-1)
+        values = values.reshape(len(self.grid), -1).tolist()
+        row = "%.12g," + ",".join(["%.16e"] * (2 * states.shape[1])) + ",%s\n"
+        for z, vals, r in zip(self.grid.tolist(), values,
+                              self.fd_residual.tolist()):
+            out.write(row % (z, *vals, "" if math.isnan(r) else f"{r:.6e}"))
         return out.getvalue()
 
 

@@ -257,3 +257,14 @@ def run_scalarize_homomorphism(cases: int, seed: int = 505,
         assert sympy_eq(to_sympy(a.scalarize(), commutative=True),
                         to_sympy(a, commutative=True)), f"cross {k}"
     return cases
+
+
+#: The five property suites by name, in the order the acceptance gate
+#: lists them.
+SUITES = {
+    "parser round-trip": run_parser_round_trip,
+    "Leibniz": run_leibniz,
+    "ideal soundness": run_ideal_soundness,
+    "commutator antisymmetry": run_commutator_antisymmetry,
+    "scalarize homomorphism": run_scalarize_homomorphism,
+}

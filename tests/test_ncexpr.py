@@ -1,9 +1,11 @@
 """Kernel tests: exact arithmetic, parsing, calculus, rewriting.
 
-The five randomized property suites live in ``_oracles`` (shared with the
-acceptance gate); each runs exactly 1000 cases here.
+The five randomized property suites live in ``_oracles``; each runs exactly
+1000 cases once per pytest run (the ``oracle_suites`` fixture), shared
+with the acceptance gate.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -31,10 +33,12 @@ from laxlab.ncexpr import (
     commutator,
     normalize,
     parse,
+    _format_term,
     _z_tower,
 )
 
 import _oracles as oracles
+from _qqi_reference import RefQQi, format_coefficient
 
 
 def P(text: str) -> NCExpr:
@@ -44,24 +48,24 @@ def P(text: str) -> NCExpr:
 # ---------------------------------------------------------------------------
 # randomized property suites (acceptance criterion: 1000 cases each)
 # ---------------------------------------------------------------------------
-def test_property_parser_round_trip():
-    assert oracles.run_parser_round_trip(1000) == 1000
+def test_property_parser_round_trip(oracle_suites):
+    assert oracle_suites.cases("parser round-trip") == 1000
 
 
-def test_property_leibniz():
-    assert oracles.run_leibniz(1000) == 1000
+def test_property_leibniz(oracle_suites):
+    assert oracle_suites.cases("Leibniz") == 1000
 
 
-def test_property_ideal_soundness():
-    assert oracles.run_ideal_soundness(1000) == 1000
+def test_property_ideal_soundness(oracle_suites):
+    assert oracle_suites.cases("ideal soundness") == 1000
 
 
-def test_property_commutator_antisymmetry():
-    assert oracles.run_commutator_antisymmetry(1000) == 1000
+def test_property_commutator_antisymmetry(oracle_suites):
+    assert oracle_suites.cases("commutator antisymmetry") == 1000
 
 
-def test_property_scalarize_homomorphism():
-    assert oracles.run_scalarize_homomorphism(1000) == 1000
+def test_property_scalarize_homomorphism(oracle_suites):
+    assert oracle_suites.cases("scalarize homomorphism") == 1000
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +99,90 @@ def test_property_qqi_fast_paths_match_full_formula(x, y):
     ):
         assert (got.re, got.im) == (re, im)
         assert type(got.re) is Fraction and type(got.im) is Fraction
+
+
+_ORACLE_PARTS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+)
+_REALS = st.one_of(st.integers(-6, 6), _ORACLE_PARTS)
+
+
+def _assert_matches_reference(got, want):
+    """``got`` is a kernel QQi in reduced form with the value of ``want``."""
+    assert isinstance(got, QQi)
+    a, b, d = got.a, got.b, got.d
+    assert type(a) is int and type(b) is int and type(d) is int
+    assert d > 0 and math.gcd(a, b, d) == 1
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    assert (got.re, got.im) == (want.re, want.im)
+    assert str(got) == str(want)
+    assert bool(got) == bool(want)
+
+
+def _both(fn):
+    """``fn`` applied to the kernel and the reference operands, or the
+    exception type each raised."""
+    out = []
+    for side in (0, 1):
+        try:
+            out.append(fn(side))
+        except ZeroDivisionError as exc:
+            out.append(type(exc))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ORACLE_PARTS, _ORACLE_PARTS, _ORACLE_PARTS, _ORACLE_PARTS, _REALS)
+def test_property_qqi_matches_fraction_reference(xr, xi, yr, yi, k):
+    xs = (QQi(xr, xi), RefQQi(xr, xi))
+    ys = (QQi(yr, yi), RefQQi(yr, yi))
+    _assert_matches_reference(xs[0], xs[1])
+    binary = (
+        lambda s: xs[s] + ys[s],
+        lambda s: xs[s] - ys[s],
+        lambda s: xs[s] * ys[s],
+        lambda s: xs[s] / ys[s],
+        lambda s: ys[s].inverse(),
+        lambda s: -xs[s],
+        lambda s: k + xs[s],
+        lambda s: k - xs[s],
+        lambda s: k * xs[s],
+        lambda s: k / xs[s],
+        lambda s: xs[s] + k,
+        lambda s: xs[s] - k,
+        lambda s: xs[s] * k,
+        lambda s: xs[s] / k,
+    )
+    for fn in binary:
+        got, want = _both(fn)
+        if want is ZeroDivisionError:
+            assert got is ZeroDivisionError
+        else:
+            _assert_matches_reference(got, want)
+    assert (xs[0] == ys[0]) == (xs[1] == ys[1])
+    assert (xs[0] == k) == (xs[1] == k)
+    # one value, one representation: equal values built by different
+    # routes hash equal
+    for u, v in ((xs[0], ys[0]), ((xs[0] + ys[0]) - ys[0], xs[0]),
+                 (xs[0] * ys[0], ys[0] * xs[0]), (QQi(k), k + QQi(0))):
+        if u == v:
+            assert hash(u) == hash(v)
+
+
+def test_qqi_printers_match_fraction_reference():
+    values = [Fraction(n, d) for n in (-3, -2, -1, 0, 1, 2, 3)
+              for d in (1, 2, 3, 4)]
+    cases = [(QQi(re, im), RefQQi(re, im)) for re in values for im in values]
+    for got, want in cases:
+        assert str(got) == str(want)
+        assert repr(got) == repr(want).replace("RefQQi", "QQi")
+        if not got:
+            continue
+        for word, key, tail in (((), (0, 0, 0), []),
+                                ((Atom("u"),), (0, 1, 0), ["hbar", "u"])):
+            assert _format_term(word, key, got) == format_coefficient(
+                want, tail)
 
 
 def test_scalar_macros():
@@ -552,6 +640,40 @@ def test_hand_built_ruleset():
     u = NCExpr.gen("u")
     rs = RuleSet("swap-uz", (Rule((Atom("u"), Atom("z")), z * u),))
     assert normalize(P("u*z"), rs) == P("z*u")
+    assert rs.decreasing
+
+
+@pytest.mark.parametrize("name", BUILTIN_RULESET_NAMES)
+def test_builtin_rulesets_are_decreasing(name):
+    assert builtin_ruleset(name).decreasing
+
+
+def test_non_decreasing_ruleset_keeps_its_budget():
+    uphill = _uphill_rules()
+    assert not uphill.decreasing
+    rules = uphill.rules
+    # one decreasing rule next to an uphill one does not make a set decreasing
+    z, u = NCExpr.gen("z"), NCExpr.gen("u")
+    mixed = RuleSet("mixed", (Rule((Atom("u"), Atom("z")), z * u), rules[0]))
+    assert not mixed.decreasing
+    with pytest.raises(PassBudgetExhausted) as info:
+        normalize(P("z*u*z*u + z*v*z*v"), RuleSet("uphill-1", rules, 1))
+    assert info.value.budget == 1
+
+
+def test_decreasing_default_budget_scales_with_input():
+    # a one-application maximum grows to terms x degree^2 = 1 x 36
+    zu = builtin_ruleset("quantum-zu")
+    e = P("u*z*u*z*u*z")
+    assert normalize(e, RuleSet("zu-1", zu.rules, 1)) == normalize(e, zu)
+    rs = combine_rulesets("zv+vu+uu", *(builtin_ruleset(name) for name in (
+        "quantum-zv", "commute-vu", "commute-uu")))
+    assert rs.decreasing
+    big = P("z + v + u + u' + v'") ** 5  # 3125 words, 11 372 applications
+    assert len(normalize(big, rs).terms) == 640
+    with pytest.raises(PassBudgetExhausted) as info:
+        normalize(big, rs, budget=DEFAULT_PASS_BUDGET)
+    assert info.value.budget == DEFAULT_PASS_BUDGET
 
 
 def test_commutator_helpers_match_methods():

@@ -312,6 +312,40 @@ def test_fd_residual_matches_point_by_point(rhs, n, grid_points):
     assert np.array_equal(tr.fd_residual, want, equal_nan=True)
 
 
+def _ref_csv_rows(tr) -> str:
+    """The CSV data rows written one formatted value at a time."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    n = tr.problem.n
+    for k, z in enumerate(tr.grid):
+        row = [f"{z:.12g}"]
+        for b in range(tr.states.shape[1]):
+            for r in range(n):
+                for c in range(n):
+                    v = tr.states[k, b, r, c]
+                    row += [f"{v.real:.16e}", f"{v.imag:.16e}"]
+        res = tr.fd_residual[k]
+        row.append("" if np.isnan(res) else f"{res:.6e}")
+        writer.writerow(row)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("rhs,n", [
+    ("pii", 1), ("p34", 1), ("matrix-pii", 2), ("matrix-pii", 3),
+    ("dpii3", 1), ("dpii3", 2),
+])
+@pytest.mark.parametrize("grid_points", [161, 10, 9])
+def test_csv_rows_match_per_value_formatting(rhs, n, grid_points):
+    extra = {"ddu0": _generic(n, 3, 0.2)} if rhs == "dpii3" else {}
+    problem = ODEProblem(rhs, alpha=0.4 - 0.1j, n=n, z0=1.0, z1=3.0,
+                         u0=_generic(n, 1), du0=_generic(n, 2),
+                         grid_points=grid_points, **extra)
+    tr = integrate(problem)
+    assert np.isnan(tr.fd_residual).any()  # rows with an empty cell
+    _, _, rows = tr.to_csv().partition("\n")
+    assert rows == _ref_csv_rows(tr)
+
+
 @pytest.mark.parametrize("alpha,ic", [
     (0.7, (0.3, -0.2)),
     (-0.35, (0.1 + 0.2j, 0.25 - 0.1j)),
