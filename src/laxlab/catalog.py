@@ -4,9 +4,15 @@ Every printed display in scope is recorded here exactly once, as a Lax
 pair, a gauge specification, a single target equation, or a target
 system.  Entries whose names end in ``-asprinted`` transcribe a printed
 display verbatim (including its defects); ``-derived`` entries record the
-form the exact algebra produces.  Builders re-parse their literals on
-every call, so two builds of the same key are equal but never identical
-objects.
+form the exact algebra produces.
+
+One helper per kind (``_pair``, ``_gauge``, ``_target``, ``_system``)
+registers each entry with its citation, the texts it parses and its
+parameter slots; a slot names a parameter and the sign with which it
+enters ``alpha``.  ``_Entry.make`` is the one place where an entry is
+built: it re-parses the texts on every call, so two builds of the same key
+are equal but never identical objects.  Built values carry no name or
+citation; ``describe`` serves those.
 
 All target equations and systems are stored as left-hand sides: the
 recorded expression equals printed-lhs minus printed-rhs, so the
@@ -34,8 +40,6 @@ class LaxPairSpec:
     derivative.  ``rules`` names the built-in rule sets relevant to the
     pair (relations its setting assumes, inverses its entries mention)."""
 
-    name: str
-    citation: str
     p: Mat2
     q: Mat2
     rules: tuple[str, ...] = ()
@@ -45,23 +49,17 @@ class LaxPairSpec:
 class GaugeSpec:
     """A constant gauge matrix with its exact two-sided inverse."""
 
-    name: str
-    citation: str
     g: Mat2
     g_inv: Mat2
 
 
 @dataclass(frozen=True)
 class TargetEquation:
-    name: str
-    citation: str
     lhs: NCExpr
 
 
 @dataclass(frozen=True)
 class TargetSystem:
-    name: str
-    citation: str
     equations: tuple[NCExpr, ...]
 
 
@@ -69,62 +67,53 @@ class TargetSystem:
 class _Entry:
     kind: str
     citation: str
-    params: tuple[str, ...]
-    builder: Callable
+    #: (slot name, sign with which the slot enters alpha)
+    slots: tuple[tuple[str, int], ...]
+    #: assembles the value from a text parser
+    assemble: Callable
+
+    def make(self, alpha: QQi | None):
+        """Build the value, with ``alpha`` bound when it is given."""
+        if alpha is None:
+            return self.assemble(_p)
+        return self.assemble(lambda text: _p(text).bind_alpha(alpha))
 
 
 _SPECS: dict[str, _Entry] = {}
 
 
-def _as_qqi(name: str, value) -> QQi:
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction, QQi)):
-        raise CatalogError(
-            f"parameter {name!r} must be an integer, Fraction, or QQi"
-        )
-    return value if isinstance(value, QQi) else QQi(value)
-
-
-def _target(key: str, citation: str, text: str) -> None:
-    def build() -> TargetEquation:
-        return TargetEquation(key, citation, _p(text))
-
-    _SPECS[key] = _Entry("target", citation, (), build)
+def _target(key: str, citation: str, text: str, slots: tuple = ()) -> None:
+    _SPECS[key] = _Entry(
+        "target", citation, slots, lambda parse: TargetEquation(parse(text))
+    )
 
 
 def _system(key: str, citation: str, texts: tuple[str, ...]) -> None:
-    def build() -> TargetSystem:
-        return TargetSystem(key, citation, tuple(_p(t) for t in texts))
-
-    _SPECS[key] = _Entry("system", citation, (), build)
-
-
-def _bind_pair(key: str, citation: str, p: Mat2, q: Mat2, rules: tuple,
-               alpha) -> LaxPairSpec:
-    if alpha is not None:
-        a = _as_qqi("alpha", alpha)
-        p = p.map(lambda e: e.bind_alpha(a))
-        q = q.map(lambda e: e.bind_alpha(a))
-    return LaxPairSpec(key, citation, p, q, rules)
+    _SPECS[key] = _Entry(
+        "system", citation, (),
+        lambda parse: TargetSystem(tuple(parse(t) for t in texts)),
+    )
 
 
-def _pair_pauli(key: str, citation: str, p_comp: dict, q_comp: dict,
-                rules: tuple = ()) -> None:
-    def build(alpha=None) -> LaxPairSpec:
-        p = Mat2.from_pauli({k: _p(v) for k, v in p_comp.items()})
-        q = Mat2.from_pauli({k: _p(v) for k, v in q_comp.items()})
-        return _bind_pair(key, citation, p, q, tuple(rules), alpha)
-
-    _SPECS[key] = _Entry("pair", citation, ("alpha",), build)
+def _mat(parse, texts) -> Mat2:
+    """A matrix from Pauli components (a dict) or row-major entry texts."""
+    if isinstance(texts, dict):
+        return Mat2.from_pauli({k: parse(v) for k, v in texts.items()})
+    return Mat2([parse(t) for t in texts])
 
 
-def _pair_entries(key: str, citation: str, p_rows: tuple, q_rows: tuple,
-                  rules: tuple = ()) -> None:
-    def build(alpha=None) -> LaxPairSpec:
-        p = Mat2([_p(t) for t in p_rows])
-        q = Mat2([_p(t) for t in q_rows])
-        return _bind_pair(key, citation, p, q, tuple(rules), alpha)
+def _pair(key: str, citation: str, p, q, rules: tuple = ()) -> None:
+    _SPECS[key] = _Entry(
+        "pair", citation, (("alpha", 1),),
+        lambda parse: LaxPairSpec(_mat(parse, p), _mat(parse, q), rules),
+    )
 
-    _SPECS[key] = _Entry("pair", citation, ("alpha",), build)
+
+def _gauge(key: str, citation: str, g: tuple, g_inv: tuple) -> None:
+    _SPECS[key] = _Entry(
+        "gauge", citation, (),
+        lambda parse: GaugeSpec(_mat(parse, g), _mat(parse, g_inv)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +133,7 @@ _target(
     "u'' - 2*u^3 - z*u - alpha",
 )
 
-_pair_pauli(
+_pair(
     "fn-pair",
     "Classical pair.  The printed s2 slot of the spectral member names an "
     "auxiliary symbol v; the classical pipelines bind v = u'.",
@@ -152,7 +141,7 @@ _pair_pauli(
     {"s3": "-i*(4*lam^2 + z + 2*u^2)", "s1": "4*lam*u - alpha/lam", "s2": "-2*v"},
 )
 
-_pair_entries(
+_pair(
     "fn-gauge-pair",
     "Gauge-equivalent classical pair in the squared spectral variable: here "
     "lam records eta = lam^2 of the parent pair, so no spectral-derivative "
@@ -229,46 +218,23 @@ _system(
 )
 
 
-def _build_matrix_pii_target(alpha0=None, alpha1=None) -> TargetEquation:
-    citation = _SPECS["matrix-pii-target"].citation
-    lhs = _p("u'' - 2*u^3 + z*u - alpha")
-    if (alpha0 is None) != (alpha1 is None):
-        raise CatalogError("matrix-pii-target needs both alpha0 and alpha1, or neither")
-    if alpha0 is not None:
-        a0 = _as_qqi("alpha0", alpha0)
-        a1 = _as_qqi("alpha1", alpha1)
-        lhs = lhs.bind_alpha(a1 - a0)
-    return TargetEquation("matrix-pii-target", citation, lhs)
-
-
-_SPECS["matrix-pii-target"] = _Entry(
-    "target",
+_target(
+    "matrix-pii-target",
     "Second-order matrix target u'' = 2*u^3 - z*u + alpha, where alpha "
     "stands for the printed parameter difference alpha1 - alpha0; numeric "
     "parameters bind it.",
-    ("alpha0", "alpha1"),
-    _build_matrix_pii_target,
+    "u'' - 2*u^3 + z*u - alpha",
+    slots=(("alpha0", -1), ("alpha1", 1)),
 )
 
-
-def _build_qp34_hbar2(alpha1=None) -> TargetEquation:
-    citation = _SPECS["qp34-hbar2"].citation
-    lhs = _p(
-        "q'' - (1/2)*q'*q^-1*q' + 4*q^2 - 2*z*q "
-        "+ (1/2)*(alpha^2 - hbar^2)*q^-1"
-    )
-    if alpha1 is not None:
-        lhs = lhs.bind_alpha(_as_qqi("alpha1", alpha1))
-    return TargetEquation("qp34-hbar2", citation, lhs)
-
-
-_SPECS["qp34-hbar2"] = _Entry(
-    "target",
+_target(
+    "qp34-hbar2",
     "Second-order equation for q with the quadratic Planck-constant pairing "
     "(alpha1^2 - hbar^2)/2 and doubled quadratic and linear terms; the "
     "symbol alpha records the printed alpha1.",
-    ("alpha1",),
-    _build_qp34_hbar2,
+    "q'' - (1/2)*q'*q^-1*q' + 4*q^2 - 2*z*q "
+    "+ (1/2)*(alpha^2 - hbar^2)*q^-1",
+    slots=(("alpha1", 1),),
 )
 
 _system(
@@ -319,7 +285,7 @@ _system(
 # ---------------------------------------------------------------------------
 # quantum pair and its cases
 # ---------------------------------------------------------------------------
-_pair_pauli(
+_pair(
     "qpii-pair",
     "Quantum pair with the scalar imaginary unit restored on the 2*u^2 term "
     "of the spectral member's s3 coefficient; the member's own printed "
@@ -333,7 +299,7 @@ _pair_pauli(
     rules=("quantum-zv",),
 )
 
-_pair_pauli(
+_pair(
     "qpii-pair-asprinted",
     "Quantum pair with the spectral member's s3 coefficient exactly as "
     "printed, -(4*i*lam^2 + i*z + 2*u^2); the member's own printed "
@@ -410,25 +376,16 @@ _target(
 # ---------------------------------------------------------------------------
 
 
-def _build_gauge_g() -> GaugeSpec:
-    citation = _SPECS["gauge-G"].citation
-    mi = NCExpr.imag_unit()
-    one = NCExpr.one()
-    g = Mat2([-mi, -mi, -one, one])
-    g_inv = Mat2([mi / 2, -one / 2, mi / 2, one / 2])
-    return GaugeSpec("gauge-G", citation, g, g_inv)
-
-
-_SPECS["gauge-G"] = _Entry(
-    "gauge",
+_gauge(
+    "gauge-G",
     "Constant gauge matrix, stored without the overall 1/sqrt(2) "
     "normalization (it cancels in conjugation), together with its exact "
     "inverse.",
-    (),
-    _build_gauge_g,
+    ("-i", "-i", "-1", "1"),
+    ("i/2", "-1/2", "i/2", "1/2"),
 )
 
-_pair_pauli(
+_pair(
     "gauge-pair-asprinted",
     "Conjugated pair as printed: z-member u*s3 - i*lam*s2 + 4*u*I and "
     "spectral member with -(4*i*lam^2 + hbar/4)*s2 and nilpotent slots "
@@ -443,7 +400,7 @@ _pair_pauli(
     rules=("inverse-pq", "quantum-zv"),
 )
 
-_pair_pauli(
+_pair(
     "gauge-pair-derived",
     "Conjugated pair computed exactly: z-member u*s3 + i*lam*s2 + 4*v*I and "
     "spectral member whose nilpotent coefficients are "
@@ -602,17 +559,31 @@ def describe(key: str) -> dict:
     entry = _SPECS.get(key)
     if entry is None:
         raise CatalogError(f"unknown catalog key {key!r}")
-    return {"kind": entry.kind, "citation": entry.citation, "params": entry.params}
+    return {"kind": entry.kind, "citation": entry.citation,
+            "params": tuple(name for name, _ in entry.slots)}
 
 
 def build(key: str, **params):
+    """Build a catalog entry.  ``params`` gives every parameter slot of the
+    entry or none; alpha is bound to the slots' signed sum."""
     entry = _SPECS.get(key)
     if entry is None:
         raise CatalogError(f"unknown catalog key {key!r}")
-    unknown = set(params) - set(entry.params)
-    if unknown:
+    names = [name for name, _ in entry.slots]
+    if params and set(params) != set(names):
         raise CatalogError(
-            f"catalog key {key!r} does not accept parameters "
-            f"{sorted(unknown)}; slots are {list(entry.params)}"
+            f"catalog key {key!r} takes all of its parameter slots {names} "
+            f"or none, not {sorted(params)}"
         )
-    return entry.builder(**params)
+    alpha = None
+    if params:
+        alpha = QQi(0)
+        for name, sign in entry.slots:
+            value = params[name]
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, Fraction, QQi)):
+                raise CatalogError(
+                    f"parameter {name!r} must be an integer, Fraction, or QQi"
+                )
+            alpha = alpha + sign * value
+    return entry.make(alpha)

@@ -57,36 +57,28 @@ def _ruleset(names):
 
 
 def _cmd_verify(args) -> int:
-    if args.rules and args.case != "prop31":
-        print("error: --rules applies only to --case prop31",
-              file=sys.stderr)
-        return 2
     rules = _ruleset(args.rules)
-    if args.case == "all":
-        reports = verify.run_all(negative_control=args.negative_control)
-        if args.format == "json":
-            print(json.dumps([r.to_dict() for r in reports], indent=2,
-                             ensure_ascii=False))
-        else:
-            for rep in reports:
-                _print_report(rep, "text")
-                print()
-            print("summary:")
-            width = max(len(r.case) for r in reports)
-            for rep in reports:
-                print(f"  {rep.case:{width}s}  {rep.status}")
-        return 1 if any(
-            r.status == verify.DISCREPANCY for r in reports
-        ) else 0
-    if rules is not None:
-        report = verify.verify_prop31(
-            rules=rules, negative_control=args.negative_control
-        )
+    cases = verify.CASES if args.case == "all" else (args.case,)
+    try:
+        reports = [verify.run(case, args.negative_control, rules)
+                   for case in cases]
+    except verify.VerifyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.case != "all":
+        _print_report(reports[0], args.format)
+    elif args.format == "json":
+        print(json.dumps([r.to_dict() for r in reports], indent=2,
+                         ensure_ascii=False))
     else:
-        report = verify.run(args.case,
-                            negative_control=args.negative_control)
-    _print_report(report, args.format)
-    return _status_code(report.status)
+        for rep in reports:
+            _print_report(rep, "text")
+            print()
+        print("summary:")
+        width = max(len(r.case) for r in reports)
+        for rep in reports:
+            print(f"  {rep.case:{width}s}  {rep.status}")
+    return max(_status_code(r.status) for r in reports)
 
 
 def _cmd_derive(args) -> int:
@@ -96,10 +88,9 @@ def _cmd_derive(args) -> int:
 
 
 def _format_mat(m: Mat2) -> str:
-    strings = m.to_strings()["entries"]
     return "\n".join(
-        f"  entry {r + 1}{c + 1}: {strings[r][c]}"
-        for r in range(2) for c in range(2)
+        f"  entry {k // 2 + 1}{k % 2 + 1}: {e}"
+        for k, e in enumerate(m.entries)
     )
 
 
@@ -188,8 +179,13 @@ def _cmd_integrate(args) -> int:
         return 1
     csv_text = trajectory.to_csv()
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(csv_text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(csv_text)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(csv_text)
     return 0

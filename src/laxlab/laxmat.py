@@ -32,6 +32,7 @@ __all__ = [
 _HALF = QQi(Fraction(1, 2))
 _HALF_I = QQi(0, Fraction(1, 2))
 _I = QQi(0, 1)
+_BASIS_NAMES = ("I", "s1", "s2", "s3", "Ip", "Im")
 
 
 class GaugeError(LaxlabError):
@@ -74,23 +75,7 @@ class Mat2:
         Ip = [[0,1],[0,0]], Im = [[0,0],[-1,0]]; so s1 = Ip - Im and
         s2 = -i*(Ip + Im).
         """
-        one = NCExpr.one()
-        z = NCExpr.zero()
-        i = NCExpr.imag_unit()
-        table = {
-            "I": (one, z, z, one),
-            "s1": (z, one, one, z),
-            "s2": (z, -i, i, z),
-            "s3": (one, z, z, -one),
-            "Ip": (z, one, z, z),
-            "Im": (z, z, -one, z),
-        }
-        try:
-            return cls(table[name])
-        except KeyError:
-            raise LaxlabError(
-                f"unknown basis matrix {name!r}; choose from {sorted(table)}"
-            ) from None
+        return cls.from_pauli({name: NCExpr.one()})
 
     @classmethod
     def from_pauli(cls, components: Mapping[str, NCExpr]) -> "Mat2":
@@ -99,10 +84,18 @@ class Mat2:
         Accepts the four Pauli names plus the ladder names Ip and Im;
         missing components default to zero.
         """
-        acc = cls.zero()
-        for name, coeff in components.items():
-            acc = acc + cls.pauli(name).scalar_premul(coeff)
-        return acc
+        unknown = set(components) - set(_BASIS_NAMES)
+        if unknown:
+            raise LaxlabError(
+                f"unknown basis matrix {min(unknown)!r}; choose from "
+                f"{sorted(_BASIS_NAMES)}"
+            )
+        zero = NCExpr.zero()
+        c_i, c1, c2, c3, c_p, c_m = (
+            components.get(name, zero) for name in _BASIS_NAMES
+        )
+        i_c2 = c2.scalar_mul(_I)
+        return cls((c_i + c3, c1 - i_c2 + c_p, c1 + i_c2 - c_m, c_i - c3))
 
     # -- plumbing -------------------------------------------------------------------
     def map(self, fn: Callable[[NCExpr], NCExpr]) -> "Mat2":
@@ -138,10 +131,6 @@ class Mat2:
                 a21 * b12 + a22 * b22,
             )
         )
-
-    def scalar_premul(self, coeff: NCExpr) -> "Mat2":
-        """coeff * M with the coefficient multiplied on the left of entries."""
-        return self.map(lambda e: coeff * e)
 
     def __eq__(self, other):
         if not isinstance(other, Mat2):

@@ -1158,40 +1158,33 @@ _PIPELINES = {
 assert tuple(_PIPELINES) == CASES
 
 
-def _guarded(case: str, pipeline, **options) -> VerificationReport:
-    """Run a pipeline; an internal failure becomes a discrepancy."""
-    runner = _Run(case)
-    try:
-        runner = pipeline(**options)
-    except (LaxlabError, KeyError, IndexError) as exc:
-        runner.fail("pipeline execution", f"aborted: {exc}")
-    return runner.report()
-
-
-def run(case: str, negative_control: bool = False) -> VerificationReport:
+def run(case: str, negative_control: bool = False,
+        rules=None) -> VerificationReport:
     """Run one pipeline and return its report.  Any internal failure is
-    itself a discrepancy, never an unhandled crash."""
+    itself a discrepancy, never an unhandled crash.  ``negative_control``
+    runs the mutated twin, which must report a discrepancy.
+
+    ``rules`` (prop31 only) supplies a RuleSet under which the residual,
+    every catalog target and every frozen expected difference are
+    normalized before comparison, so a matched pair stays matched and a
+    documented mismatch keeps its (rewritten) difference.  A residual
+    component that the rules rewrite to zero is read as the zero equation.
+    The free-algebra display audits run only without rules."""
     if case not in _PIPELINES:
         raise VerifyError(
             f"unknown verification case {case!r}; expected one of "
             f"{', '.join(CASES)}"
         )
-    return _guarded(case, _PIPELINES[case], negative=negative_control)
+    if rules is not None and case != "prop31":
+        raise VerifyError("rule sets apply only to case prop31")
+    options = {} if rules is None else {"rules": rules}
+    runner = _Run(case)
+    try:
+        runner = _PIPELINES[case](negative_control, **options)
+    except (LaxlabError, KeyError, IndexError) as exc:
+        runner.fail("pipeline execution", f"aborted: {exc}")
+    return runner.report()
 
 
 def run_all(negative_control: bool = False) -> list:
     return [run(case, negative_control=negative_control) for case in CASES]
-
-
-def verify_prop31(rules=None,
-                  negative_control: bool = False) -> VerificationReport:
-    """Quantum compatibility pipeline.  ``rules`` optionally supplies a
-    RuleSet under which the residual, every catalog target and every
-    frozen expected difference are normalized before comparison, so a
-    matched pair stays matched and a documented mismatch keeps its
-    (rewritten) difference.  A residual component that the rules rewrite
-    to zero is read as the zero equation.  The free-algebra display
-    audits run only without rules.  ``negative_control`` runs the mutated
-    twin, which must report a discrepancy."""
-    return _guarded("prop31", _prop31, negative=negative_control,
-                    rules=rules)

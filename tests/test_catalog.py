@@ -89,6 +89,10 @@ def test_matrix_pii_target_parameters():
     assert free.lhs != both.lhs
     with pytest.raises(CatalogError):
         catalog.build("matrix-pii-target", alpha0=0)  # both or neither
+    # alpha stands for alpha1 - alpha0
+    signed = catalog.build("matrix-pii-target", alpha0=Fraction(1, 2),
+                           alpha1=2)
+    assert signed.lhs == P("u'' - 2*u^3 + z*u - 3/2")
 
 
 def test_classical_limit_bridge():

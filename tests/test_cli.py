@@ -124,6 +124,10 @@ def test_verify_rules_flag_only_for_prop31(capsys):
         ["verify", "--case", "case-i", "--rules", "quantum-zv"], capsys
     )
     assert code == 2
+    code, out, err = run_cli(
+        ["verify", "--case", "all", "--rules", "quantum-zv"], capsys
+    )
+    assert code == 2 and out == "" and "prop31" in err
     code, _, _ = run_cli(
         ["verify", "--case", "prop31", "--rules", "no-such-rules"], capsys
     )
@@ -254,6 +258,16 @@ def test_integrate_writes_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert target.read_text().startswith("z,u_re_0_0")
+
+
+def test_integrate_unwritable_output_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(
+        ["integrate", "pii", "--grid", "9", "--output", str(target)], capsys
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target}")
+    assert not target.parent.exists()
 
 
 # ---------------------------------------------------------------------------

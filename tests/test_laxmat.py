@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from laxlab.ncexpr import (
+    LaxlabError,
     NCExpr,
     QQi,
     builtin_ruleset,
@@ -101,6 +102,8 @@ def test_pauli_basis_matrices():
     im = Mat2.from_pauli({"Im": P("1")})
     assert ip.to_strings()["entries"] == [["0", "1"], ["0", "0"]]
     assert im.to_strings()["entries"] == [["0", "0"], ["-1", "0"]]
+    with pytest.raises(LaxlabError):
+        Mat2.pauli("s4")
 
 
 def test_diag_and_zero():

@@ -192,14 +192,14 @@ def test_json_omits_wall_time():
 def test_prop31_rules_monotonicity():
     """Supplying the relation rule set that the construction assumes must
     never turn the pipeline into a discrepancy."""
-    base = verify.verify_prop31()
+    base = verify.run("prop31")
     assert base.status != verify.DISCREPANCY
     for rules in (
         builtin_ruleset("quantum-zv"),
         combine_rulesets("zv+weyl", builtin_ruleset("quantum-zv"),
                          builtin_ruleset("weyl-pii")),
     ):
-        rep = verify.verify_prop31(rules=rules)
+        rep = verify.run("prop31", rules=rules)
         assert rep.status != verify.DISCREPANCY, rep.notes
 
 
@@ -232,10 +232,36 @@ def test_classical_limit_commutes_with_extraction_on_prop31():
 
 
 def test_named_wrappers_map_to_pipelines():
-    assert verify.verify_prop31().case == "prop31"
+    assert verify.run("prop31").case == "prop31"
     for case in ("fn-classical", "case-i", "case-ii", "case-iii-v0",
                  "case-iii-vu", "prop41-gauge", "qp34-chain", "eliminate-pq"):
         assert verify.run(case).case == case
+
+
+def test_pipelines_leave_shared_catalog_values_unchanged(monkeypatch):
+    """Building each catalog entry once per run is safe only while no
+    pipeline edits a value it was handed: with every build shared, each
+    shared value still equals a fresh build after every pipeline and
+    every twin has run."""
+    fresh = catalog.build
+    shared = {}
+    calls = []
+
+    def build_once(key, **params):
+        memo_key = (key, tuple(sorted(params.items())))
+        calls.append(memo_key)
+        if memo_key not in shared:
+            shared[memo_key] = fresh(key, **params)
+        return shared[memo_key]
+
+    monkeypatch.setattr(catalog, "build", build_once)
+    for case in verify.CASES:
+        assert verify.run(case).status == EXPECTED_STATUS[case], case
+        twin = verify.run(case, negative_control=True)
+        assert twin.status == verify.DISCREPANCY, case
+    assert len(calls) > len(shared) > 0
+    for (key, params), value in shared.items():
+        assert value == fresh(key, **dict(params)), key
 
 
 # ---------------------------------------------------------------------------
