@@ -10,8 +10,11 @@ One helper per kind (``_pair``, ``_gauge``, ``_target``, ``_system``)
 registers each entry with its citation, the texts it parses and its
 parameter slots; a slot names a parameter and the sign with which it
 enters ``alpha``.  ``_Entry.make`` is the one place where an entry is
-built: it re-parses the texts on every call, so two builds of the same key
-are equal but never identical objects.  Built values carry no name or
+built: it parses the texts anew on every call.  ``build`` calls it once per
+key and parameter value inside a ``shared_builds()`` block, which every
+``laxlab`` command runs in, and on every call outside one, so that a
+library caller always gets a fresh value.  Callers must not mutate a built
+value, since inside the block it is shared.  Built values carry no name or
 citation; ``describe`` serves those.
 
 All target equations and systems are stored as left-hand sides: the
@@ -21,9 +24,11 @@ equation asserts ``lhs == 0``.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .laxmat import Mat2
 from .ncexpr import LaxlabError, NCExpr, QQi
@@ -563,9 +568,27 @@ def describe(key: str) -> dict:
             "params": tuple(name for name, _ in entry.slots)}
 
 
+#: The values built inside the current ``shared_builds()`` block, by key and
+#: bound alpha; ``None`` outside every block.
+_SHARED: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "laxlab_catalog_shared", default=None)
+
+
+@contextlib.contextmanager
+def shared_builds() -> Iterator[None]:
+    """Inside the block, ``build`` builds each key and parameter value once
+    and returns that one value to every caller."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
 def build(key: str, **params):
     """Build a catalog entry.  ``params`` gives every parameter slot of the
-    entry or none; alpha is bound to the slots' signed sum."""
+    entry or none; alpha is bound to the slots' signed sum.  Inside a
+    ``shared_builds()`` block, equal requests return the same value."""
     entry = _SPECS.get(key)
     if entry is None:
         raise CatalogError(f"unknown catalog key {key!r}")
@@ -586,4 +609,10 @@ def build(key: str, **params):
                     f"parameter {name!r} must be an integer, Fraction, or QQi"
                 )
             alpha = alpha + sign * value
-    return entry.make(alpha)
+    shared = _SHARED.get()
+    if shared is None:
+        return entry.make(alpha)
+    built = shared.get((key, alpha))
+    if built is None:
+        built = shared[key, alpha] = entry.make(alpha)
+    return built

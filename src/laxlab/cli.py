@@ -8,6 +8,12 @@ reduce     apply the substitution/limit lattice to a catalog entry
 integrate  integrate an operator flow and emit the trajectory as CSV
 catalog    list or show the recorded constructions
 
+Each invocation builds the argument parser of the named subcommand only;
+help, a missing or unknown command, or an option in first place builds all
+five, so every help and error text reads the same either way.  A command
+runs inside ``catalog.shared_builds()``, so it builds each catalog entry at
+most once per parameter value.
+
 Exit codes are the process-level contract: 0 when every requested case is
 verified or verified-with-notes, 1 on any discrepancy or failed
 computation, 2 on usage errors (unknown selectors are rejected before any
@@ -233,16 +239,7 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="laxlab",
-        description="Symbolic and numeric checks for 2x2 spectral-problem "
-                    "compatibility derivations.",
-        epilog="The LAXLAB_PASS_BUDGET environment variable overrides the "
-               "rewrite pass budget.",
-    )
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
+def _add_verify(sub) -> None:
     p_verify = sub.add_parser(
         "verify", help="run verification pipelines",
         description="Run one pipeline (or all of them) and print its "
@@ -263,6 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "(prop31 only; repeatable)")
     p_verify.set_defaults(func=_cmd_verify)
 
+
+def _add_derive(sub) -> None:
     p_derive = sub.add_parser(
         "derive", help="run a derivation chain",
         description="Run a derivation chain end to end and print its "
@@ -274,6 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
                           default="text")
     p_derive.set_defaults(func=_cmd_derive)
 
+
+def _add_reduce(sub) -> None:
     p_reduce = sub.add_parser(
         "reduce", help="apply substitutions and limits",
         description="Apply the substitution/limit lattice to a catalog "
@@ -303,6 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="rescale to the canonical normal form")
     p_reduce.set_defaults(func=_cmd_reduce)
 
+
+def _add_integrate(sub) -> None:
     p_int = sub.add_parser(
         "integrate", help="integrate an operator flow",
         description="Integrate one of the recorded flows and print the "
@@ -333,6 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write CSV here instead of standard output")
     p_int.set_defaults(func=_cmd_integrate)
 
+
+def _add_catalog(sub) -> None:
     p_cat = sub.add_parser(
         "catalog", help="list or show recorded constructions",
         description="List every catalog key with its kind, parameter "
@@ -343,11 +348,42 @@ def build_parser() -> argparse.ArgumentParser:
                        help="catalog key (for show)")
     p_cat.set_defaults(func=_cmd_catalog)
 
+
+#: Each subcommand, in help order, with the function that registers it.
+_COMMANDS = {
+    "verify": _add_verify,
+    "derive": _add_derive,
+    "reduce": _add_reduce,
+    "integrate": _add_integrate,
+    "catalog": _add_catalog,
+}
+
+
+def build_parser(commands=tuple(_COMMANDS)) -> argparse.ArgumentParser:
+    """The argument parser with the subcommands named in ``commands``."""
+    parser = argparse.ArgumentParser(
+        prog="laxlab",
+        description="Symbolic and numeric checks for 2x2 spectral-problem "
+                    "compatibility derivations.",
+        epilog="The LAXLAB_PASS_BUDGET environment variable overrides the "
+               "rewrite pass budget.",
+    )
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    for name in commands:
+        _COMMANDS[name](sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # Only the named subcommand is built; any other first argument (none,
+    # an option, an unknown command) needs every subcommand for its help
+    # or error text.
+    if argv and argv[0] in _COMMANDS:
+        parser = build_parser(argv[:1])
+    else:
+        parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -356,7 +392,8 @@ def main(argv=None) -> int:
     if not hasattr(args, "func"):
         parser.print_help()
         return 2
-    return args.func(args)
+    with catalog.shared_builds():
+        return args.func(args)
 
 
 if __name__ == "__main__":

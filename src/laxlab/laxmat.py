@@ -175,15 +175,6 @@ class Mat2:
             "s3": (m11 - m22).scalar_mul(_HALF),
         }
 
-    # -- serialization ----------------------------------------------------------------
-    def to_strings(self) -> dict:
-        """Entry strings (row-major 2x2) plus the Pauli decomposition."""
-        e = self.entries
-        return {
-            "entries": [[str(e[0]), str(e[1])], [str(e[2]), str(e[3])]],
-            "pauli": {k: str(v) for k, v in sorted(self.pauli_decompose().items())},
-        }
-
     def __repr__(self):
         e = self.entries
         return f"Mat2([[{e[0]}, {e[1]}], [{e[2]}, {e[3]}]])"

@@ -939,28 +939,35 @@ _TOKEN_RE = re.compile(
     r"|(?P<primes>'+)"
     r"|(?P<subscript>_[+-])"
     r"|(?P<op>[-+*/(),\[\]])"
+    r"|(?P<bad>.)",
+    re.DOTALL,
 )
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError("unexpected character", text, pos)
-        kind = m.lastgroup or ""
-        if kind != "ws":
-            tokens.append(_Token(kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(_Token("eof", "", len(text)))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of ``text`` as ``(kind, text, position)`` tuples, closed
+    by an ``eof`` token."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        if kind == "bad":
+            raise ParseError("unexpected character", text, m.start())
+        tokens.append((kind, m.group(), m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
+
+
+def _mul_factors(a: NCExpr, b: NCExpr) -> NCExpr:
+    """``a * b``, without the general product's loops when both are
+    single terms (most factors in printed text are)."""
+    if len(a.terms) == 1 and len(b.terms) == 1:
+        ((w1, s1),) = a.terms.items()
+        ((w2, s2),) = b.terms.items()
+        s = s1 * s2
+        return NCExpr._of({w1 + w2: s} if s else {})
+    return a * b
 
 
 class _Parser:
@@ -970,63 +977,60 @@ class _Parser:
         self.i = 0
 
     # -- token plumbing ----------------------------------------------------------
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
     def expect_op(self, op: str) -> None:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise ParseError(f"expected {op!r}", self.text, tok.pos)
-        self.advance()
+        kind, text, pos = self.tokens[self.i]
+        if kind != "op" or text != op:
+            raise ParseError(f"expected {op!r}", self.text, pos)
+        self.i += 1
 
     def error(self, message: str) -> ParseError:
-        return ParseError(message, self.text, self.peek().pos)
+        return ParseError(message, self.text, self.tokens[self.i][2])
 
     # -- grammar -------------------------------------------------------------------
     def parse(self) -> NCExpr:
         expr = self.parse_expr()
-        if self.peek().kind != "eof":
+        if self.tokens[self.i][0] != "eof":
             raise self.error("trailing input")
         return expr
 
     def parse_expr(self) -> NCExpr:
-        tok = self.peek()
+        kind, text, _ = self.tokens[self.i]
         negate = False
-        if tok.kind == "op" and tok.text in "+-":
-            negate = tok.text == "-"
-            self.advance()
-        acc = self.parse_term()
-        if negate:
-            acc = -acc
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                term = self.parse_term()
-                acc = acc - term if tok.text == "-" else acc + term
+        if kind == "op" and text in "+-":
+            negate = text == "-"
+            self.i += 1
+        term = self.parse_term()
+        kind, text, _ = self.tokens[self.i]
+        if kind != "op" or text not in "+-":
+            return -term if negate else term
+        # every further term is added into one map, in place
+        terms = (-term).terms if negate else dict(term.terms)
+        while kind == "op" and text in "+-":
+            self.i += 1
+            term = self.parse_term()
+            if text == "-":
+                for word, scal in term.terms.items():
+                    _add_into(terms, word, -scal)
             else:
-                return acc
+                for word, scal in term.terms.items():
+                    _add_into(terms, word, scal)
+            kind, text, _ = self.tokens[self.i]
+        return NCExpr._of(terms)
 
     def parse_term(self) -> NCExpr:
         acc = self.parse_factor()
         while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "*":
-                self.advance()
-                acc = acc * self.parse_factor()
-            elif tok.kind == "op" and tok.text == "/":
-                self.advance()
-                acc = acc * self.parse_divisor()
-            else:
+            kind, text, _ = self.tokens[self.i]
+            if kind != "op" or text not in "*/":
                 return acc
+            self.i += 1
+            if text == "*":
+                acc = _mul_factors(acc, self.parse_factor())
+            else:
+                acc = _mul_factors(acc, self.parse_divisor())
 
     def parse_divisor(self) -> NCExpr:
-        pos = self.peek().pos
+        pos = self.tokens[self.i][2]
         factor = self.parse_factor()
         items = list(factor.terms.items())
         if len(items) != 1 or items[0][0] != ():
@@ -1046,41 +1050,41 @@ class _Parser:
         return NCExpr({(): Scalar.mono(c.inverse(), lam=-l)})
 
     def _caret_value(self) -> int | None:
-        tok = self.peek()
-        if tok.kind == "caret":
-            self.advance()
-            return int(tok.text[1:])
+        kind, text, _ = self.tokens[self.i]
+        if kind == "caret":
+            self.i += 1
+            return int(text[1:])
         return None
 
     def parse_factor(self) -> NCExpr:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return NCExpr.scalar(int(tok.text))
-        if tok.kind == "name":
+        kind, text, _ = self.tokens[self.i]
+        if kind == "name":
             return self.parse_name()
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
+        if kind == "int":
+            self.i += 1
+            return NCExpr.scalar(int(text))
+        if kind == "op" and text == "(":
+            self.i += 1
             inner = self.parse_expr()
             self.expect_op(")")
             return inner
-        if tok.kind == "op" and tok.text == "[":
-            self.advance()
+        if kind == "op" and text == "[":
+            self.i += 1
             left = self.parse_expr()
             self.expect_op(",")
             right = self.parse_expr()
             self.expect_op("]")
-            sub = self.peek()
+            kind, text, _ = self.tokens[self.i]
             anti = False
-            if sub.kind == "subscript":
-                self.advance()
-                anti = sub.text == "_+"
+            if kind == "subscript":
+                self.i += 1
+                anti = text == "_+"
             return left * right + right * left if anti else left * right - right * left
         raise self.error("expected a factor")
 
     def parse_name(self) -> NCExpr:
-        tok = self.advance()
-        name = tok.text
+        _, name, pos = self.tokens[self.i]
+        self.i += 1
         if name == "i":
             return NCExpr.imag_unit()
         if name in ("lam", "hbar", "alpha"):
@@ -1089,7 +1093,7 @@ class _Parser:
                 power = 1
             if power < 0 and name != "lam":
                 raise ParseError(
-                    f"{name} admits only non-negative exponents", self.text, tok.pos
+                    f"{name} admits only non-negative exponents", self.text, pos
                 )
             return NCExpr({(): Scalar.mono(1, **{name: power})})
         if name in ("beta", "delta"):
@@ -1103,17 +1107,17 @@ class _Parser:
                 return base
             if power < 0:
                 raise ParseError(
-                    "macros admit only non-negative exponents", self.text, tok.pos
+                    "macros admit only non-negative exponents", self.text, pos
                 )
             return base ** power
         # a generator
         if name not in _RANK:
-            raise ParseError(f"undeclared generator {name!r}", self.text, tok.pos)
+            raise ParseError(f"undeclared generator {name!r}", self.text, pos)
         order = 0
-        nxt = self.peek()
-        if nxt.kind == "primes":
-            order = len(nxt.text)
-            self.advance()
+        kind, text, _ = self.tokens[self.i]
+        if kind == "primes":
+            order = len(text)
+            self.i += 1
         power = self._caret_value()
         if power is None:
             return NCExpr.gen(name, order)
@@ -1123,11 +1127,11 @@ class _Parser:
             raise ParseError(
                 "negative powers apply only to underived generators",
                 self.text,
-                tok.pos,
+                pos,
             )
         if name not in INVERTIBLE:
             raise ParseError(
-                f"generator {name!r} is not declared invertible", self.text, tok.pos
+                f"generator {name!r} is not declared invertible", self.text, pos
             )
         return NCExpr.gen(name, 0, True) ** -power
 

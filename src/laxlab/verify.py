@@ -1184,7 +1184,3 @@ def run(case: str, negative_control: bool = False,
     except (LaxlabError, KeyError, IndexError) as exc:
         runner.fail("pipeline execution", f"aborted: {exc}")
     return runner.report()
-
-
-def run_all(negative_control: bool = False) -> list:
-    return [run(case, negative_control=negative_control) for case in CASES]

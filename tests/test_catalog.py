@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from laxlab import catalog
+from laxlab import catalog, cli
 from laxlab.catalog import CatalogError
 from laxlab.laxmat import Mat2
-from laxlab.ncexpr import NCExpr, parse
+from laxlab.ncexpr import NCExpr, QQi, parse
 
 
 def P(text: str) -> NCExpr:
@@ -27,6 +27,7 @@ def test_every_entry_builds_and_rebuilds_equal():
         second = catalog.build(key)
         assert type(first) is type(second), key
         assert first == second, key
+        assert first is not second, key
 
 
 def test_describe_fields():
@@ -54,8 +55,7 @@ def test_unknown_param_rejected():
 def test_alpha_binding_on_pairs():
     bound = catalog.build("qpii-pair", alpha=1)
     free = catalog.build("qpii-pair")
-    strings = bound.q.to_strings()["entries"]
-    assert all("alpha" not in s for row in strings for s in row)
+    assert all("alpha" not in str(e) for e in bound.q.entries)
     assert free.q != bound.q
     frac = catalog.build("qpii-pair", alpha=Fraction(1, 2))
     assert frac.q != bound.q
@@ -134,3 +134,51 @@ def test_weyl_relations_entry_consistent_with_ruleset():
     target = catalog.build("weyl-relations")
     for eq in target.equations:
         assert normalize(eq, rs).is_zero, eq
+
+
+# ---------------------------------------------------------------------------
+# one build per key and parameter value within one command
+# ---------------------------------------------------------------------------
+def _record_builds(monkeypatch):
+    """Record every ``_Entry.make`` call and every value ``build`` returns."""
+    makes, values = [], []
+    make, build = catalog._Entry.make, catalog.build
+
+    def recording_make(entry, alpha):
+        makes.append((id(entry), alpha))
+        return make(entry, alpha)
+
+    def recording_build(key, **params):
+        value = build(key, **params)
+        values.append(value)
+        return value
+
+    monkeypatch.setattr(catalog._Entry, "make", recording_make)
+    monkeypatch.setattr(catalog, "build", recording_build)
+    return makes, values
+
+
+def test_one_command_builds_each_entry_once(monkeypatch, capsys):
+    makes, values = _record_builds(monkeypatch)
+    assert cli.main(["verify", "--case", "all", "--format", "json"]) == 0
+    assert len(makes) == len(set(makes)) > 0
+    assert len(values) > len(makes)
+
+
+def test_commands_share_no_catalog_value(monkeypatch, capsys):
+    makes, values = _record_builds(monkeypatch)
+    assert cli.main(["verify", "--case", "prop31"]) == 0
+    first_makes, first_values = len(makes), list(values)
+    assert cli.main(["verify", "--case", "prop31"]) == 0
+    assert len(makes) == 2 * first_makes > 0
+    assert not {id(v) for v in first_values} & {
+        id(v) for v in values[len(first_values):]}
+
+
+def test_shared_builds_block_scopes_the_sharing():
+    with catalog.shared_builds():
+        inside = catalog.build("qpii-pair", alpha=1)
+        assert catalog.build("qpii-pair", alpha=1) is inside
+        assert catalog.build("qpii-pair", alpha=QQi(1)) is inside
+        assert catalog.build("qpii-pair") is not inside
+    assert catalog.build("qpii-pair", alpha=1) is not inside

@@ -71,6 +71,27 @@ def test_help_exits_zero(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv, built", [
+    (["catalog", "list"], ["catalog"]),
+    (["verify", "-h"], ["verify"]),
+    (["reduce", "--expr", "u"], ["reduce"]),
+    ([], list(cli._COMMANDS)),
+    (["-h"], list(cli._COMMANDS)),
+    (["frobnicate"], list(cli._COMMANDS)),
+    (["--format", "json", "verify"], list(cli._COMMANDS)),
+])
+def test_main_builds_only_the_named_subcommand(argv, built, monkeypatch,
+                                               capsys):
+    registered = []
+    for name, register in cli._COMMANDS.items():
+        def recording(sub, name=name, register=register):
+            registered.append(name)
+            register(sub)
+        monkeypatch.setitem(cli._COMMANDS, name, recording)
+    run_cli(argv, capsys)
+    assert registered == built
+
+
 # ---------------------------------------------------------------------------
 # verify output
 # ---------------------------------------------------------------------------

@@ -84,8 +84,7 @@ def test_pauli_round_trip(m):
 # ---------------------------------------------------------------------------
 def test_entry_layout_row_major():
     m = Mat2([P("1"), P("2"), P("3"), P("4")])
-    s = m.to_strings()
-    assert s["entries"] == [["1", "2"], ["3", "4"]]
+    assert [str(e) for e in m.entries] == ["1", "2", "3", "4"]
 
 
 def test_pauli_basis_matrices():
@@ -100,15 +99,15 @@ def test_pauli_basis_matrices():
     # nilpotent ladder slots
     ip = Mat2.from_pauli({"Ip": P("1")})
     im = Mat2.from_pauli({"Im": P("1")})
-    assert ip.to_strings()["entries"] == [["0", "1"], ["0", "0"]]
-    assert im.to_strings()["entries"] == [["0", "0"], ["-1", "0"]]
+    assert [str(e) for e in ip.entries] == ["0", "1", "0", "0"]
+    assert [str(e) for e in im.entries] == ["0", "0", "-1", "0"]
     with pytest.raises(LaxlabError):
         Mat2.pauli("s4")
 
 
 def test_diag_and_zero():
     d = Mat2.diag(P("u"), P("v"))
-    assert d.to_strings()["entries"] == [["u", "0"], ["0", "v"]]
+    assert [str(e) for e in d.entries] == ["u", "0", "0", "v"]
     assert Mat2.zero().is_zero
     assert not d.is_zero
 

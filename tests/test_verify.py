@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from laxlab import catalog, verify
+from laxlab import catalog, cli, verify
 from laxlab.laxmat import Mat2, extract_equations, zero_curvature_residual
 from laxlab.ncexpr import (
     NCExpr,
@@ -69,9 +69,10 @@ def test_unknown_case_rejected():
         verify.run("vii")
 
 
-def test_run_all_covers_every_case_in_order():
-    reports = verify.run_all()
-    assert [r.case for r in reports] == list(verify.CASES)
+def test_verify_all_covers_every_case_in_order(capsys):
+    assert cli.main(["verify", "--case", "all", "--format", "json"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert [r["case"] for r in reports] == list(verify.CASES)
 
 
 def test_pipeline_crash_becomes_discrepancy(monkeypatch):
