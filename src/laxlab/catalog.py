@@ -10,12 +10,12 @@ One helper per kind (``_pair``, ``_gauge``, ``_target``, ``_system``)
 registers each entry with its citation, the texts it parses and its
 parameter slots; a slot names a parameter and the sign with which it
 enters ``alpha``.  ``_Entry.make`` is the one place where an entry is
-built: it parses the texts anew on every call.  ``build`` calls it once per
-key and parameter value inside a ``shared_builds()`` block, which every
-``laxlab`` command runs in, and on every call outside one, so that a
-library caller always gets a fresh value.  Callers must not mutate a built
-value, since inside the block it is shared.  Built values carry no name or
-citation; ``describe`` serves those.
+built: it parses the texts anew on every call.  Inside a
+``shared_builds()`` block, which every ``laxlab`` command runs in,
+``build`` calls it once per key and parameter value and hands that one
+value to every caller; outside a block every call builds a fresh value.
+Callers must therefore never mutate a built value.  Built values carry no
+name or citation; ``describe`` serves those.
 
 All target equations and systems are stored as left-hand sides: the
 recorded expression equals printed-lhs minus printed-rhs, so the
