@@ -24,7 +24,6 @@ from .ncexpr import (
     QQi,
     Rule,
     RuleSet,
-    Scalar,
     anticommutator,
     builtin_ruleset,
     commutator,
@@ -43,7 +42,6 @@ __all__ = [
     "QQi",
     "Rule",
     "RuleSet",
-    "Scalar",
     "anticommutator",
     "builtin_ruleset",
     "commutator",

@@ -15,10 +15,10 @@ runs inside ``catalog.shared_builds()``, so it builds each catalog entry at
 most once per parameter value.
 
 Exit codes are the process-level contract: 0 when every requested case is
-verified or verified-with-notes, 1 on any discrepancy or failed
-computation, 2 on usage errors (unknown selectors are rejected before any
-computation runs).  Identical invocations are byte-deterministic in json
-mode.  The ``LAXLAB_PASS_BUDGET`` environment variable overrides the
+verified or verified-with-notes, 1 on any discrepancy, failed computation
+or closed output pipe, 2 on usage errors (unknown selectors are rejected
+before any computation runs).  Identical invocations are byte-deterministic
+in json mode.  The ``LAXLAB_PASS_BUDGET`` environment variable overrides the
 rewrite pass budget of every rule-set application.
 """
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import catalog, verify
@@ -392,8 +393,17 @@ def main(argv=None) -> int:
     if not hasattr(args, "func"):
         parser.print_help()
         return 2
-    with catalog.shared_builds():
-        return args.func(args)
+    try:
+        with catalog.shared_builds():
+            code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (``laxlab ... | head``).  Python
+        # flushes stdout again at exit; pointing it at devnull keeps that
+        # flush from failing a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

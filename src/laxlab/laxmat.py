@@ -52,37 +52,19 @@ class Mat2:
 
     # -- constructors -------------------------------------------------------------
     @classmethod
-    def zero(cls) -> "Mat2":
-        z = NCExpr.zero()
-        return cls((z, z, z, z))
-
-    @classmethod
     def identity(cls) -> "Mat2":
         one = NCExpr.one()
         z = NCExpr.zero()
         return cls((one, z, z, one))
 
     @classmethod
-    def diag(cls, a: NCExpr, d: NCExpr) -> "Mat2":
-        z = NCExpr.zero()
-        return cls((a, z, z, d))
-
-    @classmethod
-    def pauli(cls, name: str) -> "Mat2":
-        """The basis matrices: I, s1, s2, s3, plus the ladders Ip, Im.
-
-        s1 = [[0,1],[1,0]], s2 = [[0,-i],[i,0]], s3 = [[1,0],[0,-1]],
-        Ip = [[0,1],[0,0]], Im = [[0,0],[-1,0]]; so s1 = Ip - Im and
-        s2 = -i*(Ip + Im).
-        """
-        return cls.from_pauli({name: NCExpr.one()})
-
-    @classmethod
     def from_pauli(cls, components: Mapping[str, NCExpr]) -> "Mat2":
         """Build sum(c_name * basis_name) from a component map.
 
-        Accepts the four Pauli names plus the ladder names Ip and Im;
-        missing components default to zero.
+        The basis matrices are I, s1 = [[0,1],[1,0]], s2 = [[0,-i],[i,0]],
+        s3 = [[1,0],[0,-1]] and the ladders Ip = [[0,1],[0,0]],
+        Im = [[0,0],[-1,0]]; so s1 = Ip - Im and s2 = -i*(Ip + Im).
+        Missing components default to zero.
         """
         unknown = set(components) - set(_BASIS_NAMES)
         if unknown:

@@ -45,7 +45,6 @@ __all__ = [
     "SubstitutionError",
     "PassBudgetExhausted",
     "QQi",
-    "Scalar",
     "Atom",
     "Word",
     "GENERATORS",
@@ -318,70 +317,28 @@ class Scalar:
     """A coefficient: finite map from exponent keys to Gaussian rationals.
 
     The ``lam`` exponent may be negative (Laurent); the ``hbar`` and
-    ``alpha`` exponents must be non-negative.  Zero values are never stored.
+    ``alpha`` exponents are non-negative.  Only the kernel builds
+    coefficients, and it hands the constructor a map that is already clean:
+    ``QQi`` values, none of them zero.  The class holds the ring operations
+    only; every other per-monomial transform is :meth:`NCExpr._map_monomials`.
     Instances are immutable by convention: no method mutates ``terms``.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[ExpKey, QQi] | None = None):
-        clean: dict[ExpKey, QQi] = {}
-        if terms:
-            for key, val in terms.items():
-                l, h, a = key
-                if h < 0 or a < 0:
-                    raise ValueError(
-                        "hbar and alpha exponents must be non-negative"
-                    )
-                if not isinstance(val, QQi):
-                    val = QQi(val)
-                _add_into(clean, (int(l), int(h), int(a)), val)
-        self.terms = clean
+    def __init__(self, terms: dict[ExpKey, QQi]):
+        self.terms = terms
 
-    # -- constructors ---------------------------------------------------------
-    @classmethod
-    def _of(cls, terms: dict[ExpKey, QQi]) -> "Scalar":
-        """Wrap a term map that already holds no zero values, skipping the
-        validation of ``__init__``."""
-        s = object.__new__(cls)
-        s.terms = terms
-        return s
-
-    @classmethod
-    def zero(cls) -> "Scalar":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "Scalar":
-        return cls({(0, 0, 0): _QQI_ONE})
-
-    @classmethod
-    def from_value(cls, value) -> "Scalar":
-        if isinstance(value, Scalar):
-            return value
-        if isinstance(value, QQi):
-            return cls({(0, 0, 0): value})
-        return cls({(0, 0, 0): QQi(value)})
-
-    @classmethod
-    def mono(cls, coeff, lam: int = 0, hbar: int = 0, alpha: int = 0) -> "Scalar":
-        c = coeff if isinstance(coeff, QQi) else QQi(coeff)
-        return cls({(lam, hbar, alpha): c})
-
-    # -- ring operations ------------------------------------------------------
     def __add__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
             return NotImplemented
         out = dict(self.terms)
         for key, val in other.terms.items():
             _add_into(out, key, val)
-        return Scalar._of(out)
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        return self + (-other)
+        return Scalar(out)
 
     def __neg__(self) -> "Scalar":
-        return Scalar._of({k: -v for k, v in self.terms.items()})
+        return Scalar({k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
@@ -390,9 +347,8 @@ class Scalar:
         for (l1, h1, a1), c1 in self.terms.items():
             for (l2, h2, a2), c2 in other.terms.items():
                 _add_into(out, (l1 + l2, h1 + h2, a1 + a2), c1 * c2)
-        return Scalar._of(out)
+        return Scalar(out)
 
-    # -- queries ----------------------------------------------------------------
     def __eq__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
@@ -401,42 +357,18 @@ class Scalar:
     def __bool__(self):
         return bool(self.terms)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def single_mono(self) -> tuple[ExpKey, QQi] | None:
-        if len(self.terms) == 1:
-            return next(iter(self.terms.items()))
-        return None
-
-    # -- calculus / limits --------------------------------------------------------
-    def d_dlambda(self) -> "Scalar":
-        out: dict[ExpKey, QQi] = {}
-        for (l, h, a), c in self.terms.items():
-            if l != 0:
-                out[(l - 1, h, a)] = c * l
-        return Scalar._of(out)
-
-    def classical_limit(self) -> "Scalar":
-        return Scalar._of({k: v for k, v in self.terms.items() if k[1] == 0})
-
-    def bind_alpha(self, value: QQi) -> "Scalar":
-        out: dict[ExpKey, QQi] = {}
-        for (l, h, a), c in self.terms.items():
-            v = c
-            for _ in range(a):
-                v = v * value
-            _add_into(out, (l, h, 0), v)
-        return Scalar._of(out)
-
-    def negate_alpha(self) -> "Scalar":
-        return Scalar._of({
-            k: (v if k[2] % 2 == 0 else -v) for k, v in self.terms.items()
-        })
-
     def __repr__(self):
         return f"Scalar({self.terms!r})"
+
+
+def _mono(key: ExpKey, c: QQi) -> Scalar:
+    """Coefficient ``c`` at the monomial ``key``; empty when ``c`` is zero."""
+    return Scalar({key: c} if c else {})
+
+
+def _constant(value) -> Scalar:
+    """The constant coefficient of an int, ``Fraction`` or ``QQi`` value."""
+    return _mono((0, 0, 0), value if isinstance(value, QQi) else QQi(value))
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +433,10 @@ def _word_key(word: tuple) -> tuple:
 class NCExpr:
     """A finite sum of coefficient-weighted words over the generators.
 
-    Instances are immutable by convention; every operation returns a new
-    expression.  Equality is literal equality of the term maps (use
-    :func:`normalize` first when equality modulo relations is intended).
+    ``terms`` maps each word to its nonzero coefficient.  Instances are
+    immutable by convention; every operation returns a new expression.
+    Equality is literal equality of the term maps (use :func:`normalize`
+    first when equality modulo relations is intended).
     """
 
     __slots__ = ("terms",)
@@ -515,7 +448,7 @@ class NCExpr:
                 for atom in word:
                     _check_atom(atom)
                 if not isinstance(scal, Scalar):
-                    scal = Scalar.from_value(scal)
+                    scal = _constant(scal)
                 _add_into(clean, word, scal)
         self.terms = clean
 
@@ -534,11 +467,11 @@ class NCExpr:
 
     @classmethod
     def one(cls) -> "NCExpr":
-        return cls({(): Scalar.one()})
+        return cls._of({(): _mono((0, 0, 0), _QQI_ONE)})
 
     @classmethod
     def scalar(cls, value) -> "NCExpr":
-        return cls({(): Scalar.from_value(value)})
+        return cls({(): _constant(value)})
 
     @classmethod
     def gen(cls, name: str, order: int = 0, inv: bool = False) -> "NCExpr":
@@ -547,11 +480,11 @@ class NCExpr:
         if name == "z" and order >= 1 and not inv:
             # z' is the multiplicative identity, higher derivatives vanish
             return cls.one() if order == 1 else cls.zero()
-        return cls._of({(atom,): Scalar.one()})
+        return cls._of({(atom,): _mono((0, 0, 0), _QQI_ONE)})
 
     @classmethod
-    def hbar(cls, power: int = 1) -> "NCExpr":
-        return cls({(): Scalar.mono(1, hbar=power)})
+    def hbar(cls) -> "NCExpr":
+        return cls._of({(): _mono((0, 1, 0), _QQI_ONE)})
 
     @classmethod
     def imag_unit(cls) -> "NCExpr":
@@ -562,9 +495,27 @@ class NCExpr:
     def _coerce(value) -> "NCExpr | None":
         if isinstance(value, NCExpr):
             return value
-        if isinstance(value, (int, Fraction, QQi, Scalar)):
+        if isinstance(value, (int, Fraction, QQi)):
             return NCExpr.scalar(value)
         return None
+
+    def _map_monomials(self, fn) -> "NCExpr":
+        """Apply ``fn`` to every monomial of every coefficient.
+
+        ``fn`` maps an ``(exponent key, QQi)`` pair to a new pair, or to
+        ``None`` to drop the monomial.  Monomials that land on one key are
+        summed, and a word whose coefficient ends up empty is dropped.
+        """
+        out: dict[tuple, Scalar] = {}
+        for word, scal in self.terms.items():
+            terms: dict[ExpKey, QQi] = {}
+            for key, c in scal.terms.items():
+                got = fn(key, c)
+                if got is not None:
+                    _add_into(terms, *got)
+            if terms:
+                out[word] = Scalar(terms)
+        return NCExpr._of(out)
 
     # -- ring operations ----------------------------------------------------------
     def __add__(self, other):
@@ -617,7 +568,7 @@ class NCExpr:
         return NotImplemented
 
     def scalar_mul(self, value) -> "NCExpr":
-        scal = Scalar.from_value(value)
+        scal = _constant(value)
         out = {}
         for w, s in self.terms.items():
             prod = s * scal
@@ -646,14 +597,11 @@ class NCExpr:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QQi, Scalar)):
+        if isinstance(other, (int, Fraction, QQi)):
             other = NCExpr.scalar(other)
         if not isinstance(other, NCExpr):
             return NotImplemented
         return self.terms == other.terms
-
-    def coefficient(self, word: tuple) -> Scalar:
-        return self.terms.get(word, Scalar.zero())
 
     def sorted_terms(self) -> list[tuple[tuple, Scalar]]:
         return sorted(self.terms.items(), key=lambda kv: _word_key(kv[0]))
@@ -680,12 +628,8 @@ class NCExpr:
         return NCExpr._of(out)
 
     def d_dlambda(self) -> "NCExpr":
-        out = {}
-        for word, scal in self.terms.items():
-            d = scal.d_dlambda()
-            if d:
-                out[word] = d
-        return NCExpr._of(out)
+        return self._map_monomials(
+            lambda k, c: ((k[0] - 1, k[1], k[2]), c * k[0]) if k[0] else None)
 
     # -- substitution --------------------------------------------------------------
     def substitute(self, mapping: Mapping[str, "NCExpr"]) -> "NCExpr":
@@ -729,19 +673,18 @@ class NCExpr:
                     f"cannot invert the replacement of {name!r}: not a single term"
                 )
             word, scal = items[0]
-            mono = scal.single_mono()
-            if mono is None:
+            if len(scal.terms) != 1:
                 raise SubstitutionError(
                     f"cannot invert the replacement of {name!r}: coefficient is "
                     "not a single monomial"
                 )
-            (l, h, a), c = mono
+            (((l, h, a), c),) = scal.terms.items()
             if h or a:
                 raise SubstitutionError(
                     f"cannot invert the replacement of {name!r}: hbar/alpha "
                     "factors have no inverse here"
                 )
-            inv_scal = Scalar.mono(c.inverse(), lam=-l)
+            inv_scal = _mono((-l, 0, 0), c.inverse())
             if word == ():
                 inv_word: tuple = ()
             elif len(word) == 1 and word[0].order == 0 and (
@@ -759,7 +702,7 @@ class NCExpr:
 
         result = NCExpr.zero()
         for word, scal in self.terms.items():
-            acc = NCExpr.scalar(scal)
+            acc = NCExpr._of({(): scal})
             for atom in word:
                 if atom.gen in mapping:
                     if atom.inv:
@@ -767,19 +710,14 @@ class NCExpr:
                     else:
                         factor = tower(atom.gen, atom.order)
                 else:
-                    factor = NCExpr._of({(atom,): Scalar.one()})
+                    factor = NCExpr._of({(atom,): _mono((0, 0, 0), _QQI_ONE)})
                 acc = acc * factor
             result = result + acc
         return result
 
     # -- limits and quotients ---------------------------------------------------------
     def classical_limit(self) -> "NCExpr":
-        out = {}
-        for word, scal in self.terms.items():
-            s = scal.classical_limit()
-            if s:
-                out[word] = s
-        return NCExpr._of(out)
+        return self._map_monomials(lambda k, c: None if k[1] else (k, c))
 
     def scalarize(self) -> "NCExpr":
         """Project onto the commutative quotient.
@@ -811,20 +749,21 @@ class NCExpr:
         for word, scal in self.terms.items():
             for (l, h, a), c in scal.terms.items():
                 _add_into(buckets.setdefault(l, {}), word,
-                          Scalar.mono(c, hbar=h, alpha=a))
+                          _mono((0, h, a), c))
         return {l: NCExpr._of(terms) for l, terms in buckets.items()}
 
     def bind_alpha(self, value) -> "NCExpr":
         v = value if isinstance(value, QQi) else QQi(value)
-        out = {}
-        for word, scal in self.terms.items():
-            s = scal.bind_alpha(v)
-            if s:
-                out[word] = s
-        return NCExpr._of(out)
+
+        def bind(key: ExpKey, c: QQi) -> tuple[ExpKey, QQi]:
+            for _ in range(key[2]):
+                c = c * v
+            return (key[0], key[1], 0), c
+
+        return self._map_monomials(bind)
 
     def negate_alpha(self) -> "NCExpr":
-        return NCExpr._of({w: s.negate_alpha() for w, s in self.terms.items()})
+        return self._map_monomials(lambda k, c: (k, -c if k[2] % 2 else c))
 
     def reflect_z(self) -> "NCExpr":
         """The image under z -> -z with fields transported by the chain rule.
@@ -1037,17 +976,17 @@ class _Parser:
             raise ParseError(
                 "division only by central scalars", self.text, pos
             )
-        mono = items[0][1].single_mono()
-        if mono is None:
+        scal = items[0][1]
+        if len(scal.terms) != 1:
             raise ParseError(
                 "division only by a single central monomial", self.text, pos
             )
-        (l, h, a), c = mono
+        (((l, h, a), c),) = scal.terms.items()
         if h or a:
             raise ParseError(
                 "division by hbar or alpha is not representable", self.text, pos
             )
-        return NCExpr({(): Scalar.mono(c.inverse(), lam=-l)})
+        return NCExpr._of({(): _mono((-l, 0, 0), c.inverse())})
 
     def _caret_value(self) -> int | None:
         kind, text, _ = self.tokens[self.i]
@@ -1095,13 +1034,14 @@ class _Parser:
                 raise ParseError(
                     f"{name} admits only non-negative exponents", self.text, pos
                 )
-            return NCExpr({(): Scalar.mono(1, **{name: power})})
+            key = tuple(power if n == name else 0 for n in ("lam", "hbar", "alpha"))
+            return NCExpr._of({(): _mono(key, _QQI_ONE)})
         if name in ("beta", "delta"):
             if name == "beta":
-                base = NCExpr({(): Scalar.mono(QQi(0, Fraction(1, 4)), hbar=1)})
+                base = NCExpr._of({(): _mono((0, 1, 0), QQi(0, Fraction(1, 4)))})
             else:
-                base = NCExpr({(): Scalar({(0, 0, 1): _QQI_ONE,
-                                           (0, 0, 0): QQi(Fraction(-1, 2))})})
+                base = NCExpr._of({(): Scalar({(0, 0, 1): _QQI_ONE,
+                                               (0, 0, 0): QQi(Fraction(-1, 2))})})
             power = self._caret_value()
             if power is None:
                 return base
@@ -1329,7 +1269,7 @@ def _z_tower(name: str, gen: str, sign: int) -> RuleSet:
     x = ``gen`` and k = 0 .. DERIVATIVE_TOWER_ORDER: normal ordering that
     pushes z leftward past every derivative of one generator."""
     z = NCExpr.gen("z")
-    half = NCExpr({(): Scalar.mono(QQi(0, Fraction(sign, 2)), hbar=1)})
+    half = NCExpr._of({(): _mono((0, 1, 0), QQi(0, Fraction(sign, 2)))})
     rules = []
     for k in range(DERIVATIVE_TOWER_ORDER + 1):
         repl = z * NCExpr.gen(gen, k) + half * NCExpr.gen("u", k)

@@ -1,7 +1,7 @@
 """CLI tests: exit-code contract, selector rejection, output formats.
 
-Everything runs through in-process ``cli.main`` except one real subprocess
-smoke test of the installed entry point.
+Everything runs through in-process ``cli.main`` except two real subprocess
+tests of the installed entry point.
 """
 
 import csv
@@ -314,14 +314,18 @@ def test_catalog_show_pair(capsys):
 
 
 # ---------------------------------------------------------------------------
-# the one real subprocess smoke test
+# the real subprocess tests
 # ---------------------------------------------------------------------------
-def test_subprocess_entry_point():
+def _child_env() -> dict:
     # The child interpreter must import the same laxlab as this process,
     # whether it comes from an install or from pytest's ``pythonpath``.
     package_root = os.path.dirname(os.path.dirname(laxlab.__file__))
     path = filter(None, [package_root, os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+def test_subprocess_entry_point():
+    env = _child_env()
     ok = subprocess.run(
         [sys.executable, "-m", "laxlab.cli", "verify", "--case",
          "fn-classical"],
@@ -340,3 +344,21 @@ def test_subprocess_entry_point():
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert usage.returncode == 2
+
+
+def test_closed_stdout_pipe_exits_1_without_traceback():
+    # The read end is closed before the child starts, so its first write to
+    # stdout fails with EPIPE, as under ``laxlab ... | head -c 10``.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "laxlab.cli", "verify", "--case",
+             "fn-classical", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=_child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert child.returncode == 1
+    assert "Traceback" not in child.stderr

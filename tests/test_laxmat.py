@@ -88,9 +88,8 @@ def test_entry_layout_row_major():
 
 
 def test_pauli_basis_matrices():
-    s1 = Mat2.pauli("s1")
-    s2 = Mat2.pauli("s2")
-    s3 = Mat2.pauli("s3")
+    s1, s2, s3 = (Mat2.from_pauli({name: P("1")})
+                  for name in ("s1", "s2", "s3"))
     i = NCExpr.imag_unit()
     # s1*s2 = i*s3 and cyclic
     assert s1 * s2 == s3.map(lambda e: i * e)
@@ -102,13 +101,13 @@ def test_pauli_basis_matrices():
     assert [str(e) for e in ip.entries] == ["0", "1", "0", "0"]
     assert [str(e) for e in im.entries] == ["0", "0", "-1", "0"]
     with pytest.raises(LaxlabError):
-        Mat2.pauli("s4")
+        Mat2.from_pauli({"s4": P("1")})
 
 
 def test_diag_and_zero():
-    d = Mat2.diag(P("u"), P("v"))
+    d = Mat2.from_pauli({"I": P("(1/2)*(u + v)"), "s3": P("(1/2)*(u - v)")})
     assert [str(e) for e in d.entries] == ["u", "0", "0", "v"]
-    assert Mat2.zero().is_zero
+    assert Mat2.from_pauli({}).is_zero
     assert not d.is_zero
 
 
@@ -135,7 +134,7 @@ def test_zero_curvature_residual_convention():
     q = Mat2([P("u"), P("0"), P("0"), P("u")])
     r = zero_curvature_residual(p, q)
     # orientation: Q_z - P_lambda - [P, Q]
-    assert r == Mat2.diag(P("u' - u"), P("u' - u"))
+    assert r == Mat2([P("u' - u"), P("0"), P("0"), P("u' - u")])
 
 
 def test_residual_accepts_rules_and_budget():

@@ -5,6 +5,7 @@ The five randomized property suites live in ``_oracles``; each runs exactly
 with the acceptance gate.
 """
 
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -66,6 +67,15 @@ def test_property_commutator_antisymmetry(oracle_suites):
 
 def test_property_scalarize_homomorphism(oracle_suites):
     assert oracle_suites.cases("scalarize homomorphism") == 1000
+
+
+# ---------------------------------------------------------------------------
+# public names
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("module", ["laxlab", "laxlab.ncexpr", "laxlab.laxmat"])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +410,10 @@ def test_canonical_of_zero():
 def test_min_word_and_coefficient():
     e = P("3*u*v + z")
     w = e.min_word()
-    assert w is not None
-    assert bool(e.coefficient(w))
-    assert not bool(e.coefficient((Atom("v"), Atom("v"))))
+    assert w == (Atom("z"),)
+    assert e.terms[w] == P("1").terms[()]
+    assert e.terms[(Atom("u"), Atom("v"))] == P("3").terms[()]
+    assert (Atom("v"), Atom("v")) not in e.terms
 
 
 def test_sorted_terms_deterministic():
@@ -567,6 +578,8 @@ def test_property_no_zero_is_stored(e, f, name):
         *(e * f).split_lambda().values(),
         *(e.bind_alpha(v) for v in (0, Fraction(1, 2), -1)),
         normalize(e * f, rules), normalize(e * f - f * e, rules),
+        e.d_dlambda(), (e * f).classical_limit(), e.negate_alpha(),
+        e.scalar_mul(0), NCExpr.scalar(0), NCExpr({(): 0}),
     ]
     for r in results:
         _assert_no_stored_zero(r)

@@ -314,7 +314,7 @@ def test_compare_zero_difference_fails_against_nonzero_expected():
 
 def test_compare_matrix_mismatch_fails_against_zero_expected():
     m = Mat2.from_pauli({"s1": P("u")})
-    run, rec = _compare(m, m, expected=Mat2.zero())
+    run, rec = _compare(m, m, expected=Mat2.from_pauli({}))
     assert (rec.expression, rec.difference) == (
         "s1: u", "MISMATCH: expected 0, got 0")
     assert run.report().status == verify.DISCREPANCY
