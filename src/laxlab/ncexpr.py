@@ -34,6 +34,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -131,6 +132,15 @@ def _add_into(out: dict, key, val) -> None:
         out[key] = val
     elif acc is not None:
         del out[key]
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """The product of two term maps ``{word: Scalar}``."""
+    out: dict = {}
+    for w1, s1 in a.items():
+        for w2, s2 in b.items():
+            _add_into(out, w1 + w2, s1 * s2)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +311,10 @@ class QQi:
         return body if b > 0 else f"-{body}"
 
 
+_QQI_ZERO = QQi(0)
 _QQI_ONE = QQi(1)
 _QQI_I = QQi(0, 1)
+_QQI_BETA = QQi(0, Fraction(1, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -548,11 +560,7 @@ class NCExpr:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[tuple, Scalar] = {}
-        for w1, s1 in self.terms.items():
-            for w2, s2 in o.terms.items():
-                _add_into(out, w1 + w2, s1 * s2)
-        return NCExpr._of(out)
+        return NCExpr._of(_mul_terms(self.terms, o.terms))
 
     def __rmul__(self, other):
         o = self._coerce(other)
@@ -870,210 +878,252 @@ def _format_term(word: tuple, key: ExpKey, c: QQi) -> tuple[int, str]:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<int>\d+)"
-    r"|(?P<name>[A-Za-z]+)"
-    r"|(?P<caret>\^-?\d+)"
-    r"|(?P<primes>'+)"
-    r"|(?P<subscript>_[+-])"
-    r"|(?P<op>[-+*/(),\[\]])"
-    r"|(?P<bad>.)",
-    re.DOTALL,
-)
+#: One token: an integer, a name, a caret exponent, primes, a commutator
+#: subscript or an operator.  Whitespace starts no token, so ``findall``
+#: steps over it.
+_TOKEN_RE = re.compile(r"\d+|[A-Za-z]+|\^-?\d+|'+|_[+-]|[-+*/(),\[\]]")
+#: A character that no token can hold: one outside the alphabet, or a ``^``
+#: or ``_`` that does not start a caret exponent or a subscript.
+_BAD_RE = re.compile(r"[^\s\dA-Za-z^'_\-+*/(),\[\]]|\^(?!-?\d)|_(?![+-])")
+
+_K0 = (0, 0, 0)  # the exponent key of a constant
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """The tokens of ``text`` as ``(kind, text, position)`` tuples, closed
-    by an ``eof`` token."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "bad":
-            raise ParseError("unexpected character", text, m.start())
-        tokens.append((kind, m.group(), m.start()))
-    tokens.append(("eof", "", len(text)))
-    return tokens
+def _as_terms(value) -> dict:
+    """The term map of a parsed value (a monomial tuple or a term map)."""
+    if type(value) is tuple:
+        word, key, c = value
+        return {word: Scalar({key: c})} if c else {}
+    return value
 
 
-def _mul_factors(a: NCExpr, b: NCExpr) -> NCExpr:
-    """``a * b``, without the general product's loops when both are
-    single terms (most factors in printed text are)."""
-    if len(a.terms) == 1 and len(b.terms) == 1:
-        ((w1, s1),) = a.terms.items()
-        ((w2, s2),) = b.terms.items()
-        s = s1 * s2
-        return NCExpr._of({w1 + w2: s} if s else {})
-    return a * b
+def _mul_values(x, y):
+    """The product of two parsed values (monomial tuples or term maps)."""
+    if type(x) is tuple and type(y) is tuple:
+        w1, (l1, h1, a1), c1 = x
+        w2, (l2, h2, a2), c2 = y
+        return w1 + w2, (l1 + l2, h1 + h2, a1 + a2), c1 * c2
+    return _mul_terms(_as_terms(x), _as_terms(y))
+
+
+def _single(terms: dict):
+    """``terms`` as a monomial tuple when it is empty or one monomial;
+    otherwise ``terms`` itself."""
+    if not terms:
+        return (), _K0, _QQI_ZERO
+    if len(terms) == 1:
+        ((word, scal),) = terms.items()
+        if len(scal.terms) == 1:
+            ((key, c),) = scal.terms.items()
+            return word, key, c
+    return terms
 
 
 class _Parser:
+    """Recursive descent over the token strings of one text.
+
+    While a factor or a term is a single monomial it is the tuple
+    ``(word, exponent key, QQi)``, and a zero coefficient stands for the
+    empty sum; a product of two such tuples is one word concatenation, one
+    exponent sum and one ``QQi`` product.  Term maps ``{word: Scalar}`` are
+    built only for values that are not one monomial: parenthesized sums,
+    commutators, ``delta`` and its powers, and products with these.  A sum
+    adds each term into one map in place.  Token positions are recomputed
+    from the text only when an error is raised.
+    """
+
     def __init__(self, text: str):
+        bad = _BAD_RE.search(text)
+        if bad is not None:
+            raise ParseError("unexpected character", text, bad.start())
         self.text = text
-        self.tokens = _tokenize(text)
+        self.toks = _TOKEN_RE.findall(text)
+        self.toks.append("")  # end of input
         self.i = 0
 
     # -- token plumbing ----------------------------------------------------------
-    def expect_op(self, op: str) -> None:
-        kind, text, pos = self.tokens[self.i]
-        if kind != "op" or text != op:
-            raise ParseError(f"expected {op!r}", self.text, pos)
+    def error(self, message: str, index: int | None = None) -> ParseError:
+        """A ``ParseError`` at token ``index``, by default the current one."""
+        if index is None:
+            index = self.i
+        match = next(islice(_TOKEN_RE.finditer(self.text), index, None), None)
+        pos = len(self.text) if match is None else match.start()
+        return ParseError(message, self.text, pos)
+
+    def expect(self, op: str) -> None:
+        if self.toks[self.i] != op:
+            raise self.error(f"expected {op!r}")
         self.i += 1
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.text, self.tokens[self.i][2])
+    def caret(self) -> int | None:
+        tok = self.toks[self.i]
+        if tok[:1] == "^":
+            self.i += 1
+            return int(tok[1:])
+        return None
 
     # -- grammar -------------------------------------------------------------------
     def parse(self) -> NCExpr:
-        expr = self.parse_expr()
-        if self.tokens[self.i][0] != "eof":
+        try:
+            value = self.expr()
+        except RecursionError:
+            raise self.error("expression nested too deeply") from None
+        if self.toks[self.i]:
             raise self.error("trailing input")
-        return expr
+        return NCExpr._of(_as_terms(value))
 
-    def parse_expr(self) -> NCExpr:
-        kind, text, _ = self.tokens[self.i]
-        negate = False
-        if kind == "op" and text in "+-":
-            negate = text == "-"
+    def expr(self):
+        toks = self.toks
+        tok = toks[self.i]
+        negate = tok == "-"
+        if negate or tok == "+":
             self.i += 1
-        term = self.parse_term()
-        kind, text, _ = self.tokens[self.i]
-        if kind != "op" or text not in "+-":
-            return -term if negate else term
-        # every further term is added into one map, in place
-        terms = (-term).terms if negate else dict(term.terms)
-        while kind == "op" and text in "+-":
-            self.i += 1
-            term = self.parse_term()
-            if text == "-":
-                for word, scal in term.terms.items():
-                    _add_into(terms, word, -scal)
-            else:
-                for word, scal in term.terms.items():
-                    _add_into(terms, word, scal)
-            kind, text, _ = self.tokens[self.i]
-        return NCExpr._of(terms)
-
-    def parse_term(self) -> NCExpr:
-        acc = self.parse_factor()
+        term = self.term()
+        tok = toks[self.i]
+        if tok != "+" and tok != "-":
+            if not negate:
+                return term
+            if type(term) is tuple:
+                return term[0], term[1], -term[2]
+            return {word: -scal for word, scal in term.items()}
+        terms: dict[tuple, Scalar] = {}
         while True:
-            kind, text, _ = self.tokens[self.i]
-            if kind != "op" or text not in "*/":
-                return acc
-            self.i += 1
-            if text == "*":
-                acc = _mul_factors(acc, self.parse_factor())
+            if type(term) is tuple:
+                word, key, c = term
+                if c:
+                    _add_into(terms, word, Scalar({key: -c if negate else c}))
             else:
-                acc = _mul_factors(acc, self.parse_divisor())
+                for word, scal in term.items():
+                    _add_into(terms, word, -scal if negate else scal)
+            if tok != "+" and tok != "-":
+                return terms
+            negate = tok == "-"
+            self.i += 1
+            term = self.term()
+            tok = toks[self.i]
 
-    def parse_divisor(self) -> NCExpr:
-        pos = self.tokens[self.i][2]
-        factor = self.parse_factor()
-        items = list(factor.terms.items())
-        if len(items) != 1 or items[0][0] != ():
-            raise ParseError(
-                "division only by central scalars", self.text, pos
-            )
-        scal = items[0][1]
-        if len(scal.terms) != 1:
-            raise ParseError(
-                "division only by a single central monomial", self.text, pos
-            )
-        (((l, h, a), c),) = scal.terms.items()
-        if h or a:
-            raise ParseError(
-                "division by hbar or alpha is not representable", self.text, pos
-            )
-        return NCExpr._of({(): _mono((-l, 0, 0), c.inverse())})
-
-    def _caret_value(self) -> int | None:
-        kind, text, _ = self.tokens[self.i]
-        if kind == "caret":
-            self.i += 1
-            return int(text[1:])
-        return None
-
-    def parse_factor(self) -> NCExpr:
-        kind, text, _ = self.tokens[self.i]
-        if kind == "name":
-            return self.parse_name()
-        if kind == "int":
-            self.i += 1
-            return NCExpr.scalar(int(text))
-        if kind == "op" and text == "(":
-            self.i += 1
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return inner
-        if kind == "op" and text == "[":
-            self.i += 1
-            left = self.parse_expr()
-            self.expect_op(",")
-            right = self.parse_expr()
-            self.expect_op("]")
-            kind, text, _ = self.tokens[self.i]
-            anti = False
-            if kind == "subscript":
+    def term(self):
+        toks = self.toks
+        acc = self.factor()
+        while True:
+            tok = toks[self.i]
+            if tok == "*":
                 self.i += 1
-                anti = text == "_+"
-            return left * right + right * left if anti else left * right - right * left
+                rhs = self.factor()
+            elif tok == "/":
+                self.i += 1
+                rhs = self.divisor()
+            else:
+                return acc
+            acc = _mul_values(acc, rhs)
+
+    def divisor(self):
+        start = self.i
+        value = self.factor()
+        if type(value) is dict:
+            value = _single(value)
+        if type(value) is dict:
+            raise self.error(
+                "division only by a single central monomial"
+                if list(value) == [()] else "division only by central scalars",
+                start,
+            )
+        word, (l, h, a), c = value
+        if not c:
+            raise self.error("division by zero", start)
+        if word:
+            raise self.error("division only by central scalars", start)
+        if h or a:
+            raise self.error(
+                "division by hbar or alpha is not representable", start)
+        return (), (-l, 0, 0), c.inverse()
+
+    def factor(self):
+        tok = self.toks[self.i]
+        if tok.isalpha():
+            return self.name()
+        if tok.isdecimal():
+            self.i += 1
+            return (), _K0, QQi._of(int(tok), 0, 1)
+        if tok == "(":
+            self.i += 1
+            inner = self.expr()
+            self.expect(")")
+            return _single(inner) if type(inner) is dict else inner
+        if tok == "[":
+            self.i += 1
+            left = self.expr()
+            self.expect(",")
+            right = self.expr()
+            self.expect("]")
+            tok = self.toks[self.i]
+            anti = tok == "_+"
+            if anti or tok == "_-":
+                self.i += 1
+            out = _as_terms(_mul_values(left, right))
+            for word, scal in _as_terms(_mul_values(right, left)).items():
+                _add_into(out, word, scal if anti else -scal)
+            return out
         raise self.error("expected a factor")
 
-    def parse_name(self) -> NCExpr:
-        _, name, pos = self.tokens[self.i]
+    def name(self):
+        toks = self.toks
+        start = self.i
+        name = toks[start]
         self.i += 1
-        if name == "i":
-            return NCExpr.imag_unit()
-        if name in ("lam", "hbar", "alpha"):
-            power = self._caret_value()
+        if name in _RANK:
+            order = 0
+            if toks[self.i][:1] == "'":
+                order = len(toks[self.i])
+                self.i += 1
+            power = self.caret()
+            inv = False
             if power is None:
                 power = 1
-            if power < 0 and name != "lam":
-                raise ParseError(
-                    f"{name} admits only non-negative exponents", self.text, pos
-                )
-            key = tuple(power if n == name else 0 for n in ("lam", "hbar", "alpha"))
-            return NCExpr._of({(): _mono(key, _QQI_ONE)})
-        if name in ("beta", "delta"):
-            if name == "beta":
-                base = NCExpr._of({(): _mono((0, 1, 0), QQi(0, Fraction(1, 4)))})
-            else:
-                base = NCExpr._of({(): Scalar({(0, 0, 1): _QQI_ONE,
-                                               (0, 0, 0): QQi(Fraction(-1, 2))})})
-            power = self._caret_value()
+            elif power < 0:
+                if order:
+                    raise self.error(
+                        "negative powers apply only to underived generators",
+                        start)
+                if name not in INVERTIBLE:
+                    raise self.error(
+                        f"generator {name!r} is not declared invertible",
+                        start)
+                power, inv = -power, True
+            if name == "z" and order:
+                # z' is the multiplicative identity, higher derivatives vanish
+                return (), _K0, _QQI_ONE if order == 1 or not power else _QQI_ZERO
+            return (Atom(name, order, inv),) * power, _K0, _QQI_ONE
+        if name == "i":
+            return (), _K0, _QQI_I
+        if name in ("lam", "hbar", "alpha"):
+            power = self.caret()
             if power is None:
-                return base
-            if power < 0:
-                raise ParseError(
-                    "macros admit only non-negative exponents", self.text, pos
-                )
-            return base ** power
-        # a generator
-        if name not in _RANK:
-            raise ParseError(f"undeclared generator {name!r}", self.text, pos)
-        order = 0
-        kind, text, _ = self.tokens[self.i]
-        if kind == "primes":
-            order = len(text)
-            self.i += 1
-        power = self._caret_value()
+                power = 1
+            elif power < 0 and name != "lam":
+                raise self.error(
+                    f"{name} admits only non-negative exponents", start)
+            key = tuple(power if n == name else 0 for n in ("lam", "hbar", "alpha"))
+            return (), key, _QQI_ONE
+        if name not in ("beta", "delta"):
+            raise self.error(f"undeclared generator {name!r}", start)
+        power = self.caret()
+        if power is not None and power < 0:
+            raise self.error("macros admit only non-negative exponents", start)
+        if name == "beta":
+            if power is None:
+                power = 1
+            c = _QQI_ONE
+            for _ in range(power):
+                c = c * _QQI_BETA
+            return (), (0, power, 0), c
+        base = {(): Scalar({(0, 0, 1): _QQI_ONE, _K0: QQi(Fraction(-1, 2))})}
         if power is None:
-            return NCExpr.gen(name, order)
-        if power >= 0:
-            return NCExpr.gen(name, order) ** power
-        if order != 0:
-            raise ParseError(
-                "negative powers apply only to underived generators",
-                self.text,
-                pos,
-            )
-        if name not in INVERTIBLE:
-            raise ParseError(
-                f"generator {name!r} is not declared invertible", self.text, pos
-            )
-        return NCExpr.gen(name, 0, True) ** -power
+            return base
+        acc = {(): Scalar({_K0: _QQI_ONE})}
+        for _ in range(power):
+            acc = _mul_terms(acc, base)
+        return acc
 
 
 def parse(text: str) -> NCExpr:
@@ -1087,6 +1137,12 @@ def parse(text: str) -> NCExpr:
     caret powers (negative powers only for invertible generators),
     commutators ``[a,b]`` / ``[a,b]_-`` and anticommutators ``[a,b]_+``,
     and parenthesized expressions.  ``print``/``parse`` round-trip.
+
+    One pass: a single regex search rejects a character no token can hold,
+    one ``findall`` splits the text into token strings, and the recursive
+    descent builds single-monomial terms as plain tuples.  Malformed text,
+    nesting too deep for the interpreter's recursion limit included, raises
+    :class:`ParseError` with the offending position.
     """
     return _Parser(text).parse()
 

@@ -224,6 +224,14 @@ def test_reduce_parse_error_exits_one(capsys):
     assert code == 1 and "error" in err
 
 
+def test_reduce_deeply_nested_expr_exits_one_without_traceback(capsys):
+    text = "(" * 2000 + "u" + ")" * 2000
+    code, out, err = run_cli(["reduce", "--expr", text], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: expression nested too deeply (at position ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_reduce_pair_prints_both_members(capsys):
     code, out, _ = run_cli(["reduce", "fn-pair", "--v-du"], capsys)
     assert code == 0

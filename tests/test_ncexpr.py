@@ -28,6 +28,8 @@ from laxlab.ncexpr import (
     DEFAULT_PASS_BUDGET,
     DERIVATIVE_TOWER_ORDER,
     GENERATORS,
+    INVERTIBLE,
+    Scalar,
     anticommutator,
     builtin_ruleset,
     combine_rulesets,
@@ -250,6 +252,50 @@ def test_parse_errors():
             P(text)
 
 
+@pytest.mark.parametrize("text, message, pos", [
+    ("u + é", "unexpected character", 4),
+    ("2*u^ + v", "unexpected character", 3),
+    ("[z,u]_ v", "unexpected character", 5),
+    ("(u + (v)", "expected ')'", 8),
+    ("[z, u", "expected ']'", 5),
+    ("[z u]", "expected ','", 3),
+    ("u +* z", "expected a factor", 3),
+    ("", "expected a factor", 0),
+    ("u + v w", "trailing input", 6),
+    ("i^2", "trailing input", 1),
+    ("u + 2*w", "undeclared generator 'w'", 6),
+    ("u + hbar^-1", "hbar admits only non-negative exponents", 4),
+    ("alpha^-2*u", "alpha admits only non-negative exponents", 0),
+    ("u*beta^-1", "macros admit only non-negative exponents", 2),
+    ("u - delta^-3", "macros admit only non-negative exponents", 4),
+    ("2*u^-1", "generator 'u' is not declared invertible", 2),
+    ("v*p'^-1", "negative powers apply only to underived generators", 2),
+    ("u/v", "division only by central scalars", 2),
+    ("u / (1+lam)", "division only by a single central monomial", 4),
+    ("u/alpha^2", "division by hbar or alpha is not representable", 2),
+    ("u/0", "division by zero", 2),
+    ("u + v/(1 - 1)", "division by zero", 6),
+])
+def test_parse_error_text_and_position(text, message, pos):
+    with pytest.raises(ParseError) as info:
+        P(text)
+    assert info.value.pos == pos
+    assert str(info.value) == (
+        f"{message} (at position {pos}, near {text[pos:pos + 16]!r})")
+
+
+def test_parse_error_for_deep_nesting():
+    depth = 5000
+    text = "(" * depth + "u" + ")" * depth
+    with pytest.raises(ParseError) as info:
+        P(text)
+    pos = info.value.pos
+    assert 0 < pos <= depth
+    assert str(info.value) == (
+        f"expression nested too deeply (at position {pos}, "
+        f"near {text[pos:pos + 16]!r})")
+
+
 def test_unknown_generator_rejected():
     with pytest.raises((ParseError, ContextError)):
         P("w + u")
@@ -282,6 +328,119 @@ def test_string_round_trip_of_display_forms():
     ):
         e = P(text)
         assert parse(str(e)) == e
+
+
+def _central(l=0, h=0, a=0, c=QQi(1)) -> NCExpr:
+    return NCExpr({(): Scalar({(l, h, a): c})})
+
+
+class GrammarTexts:
+    """Random expression trees over the whole parser grammar.
+
+    Each method returns ``(text, value)``: the tree printed as parser input,
+    with random whitespace between tokens, and its value built with
+    ``NCExpr`` arithmetic, without the parser.
+    """
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+
+    def gap(self) -> str:
+        return self.rng.choice(("", "", "", " ", "  ", "\t"))
+
+    def expr(self, depth: int):
+        rng, gap = self.rng, self.gap
+        sign = text = rng.choice(("", "", "+", "-"))
+        value = NCExpr.zero()
+        for k in range(rng.randint(1, 3)):
+            if k:
+                sign = rng.choice("+-")
+                text += gap() + sign + gap()
+            term_text, term = self.term(depth)
+            text += term_text
+            value = value - term if sign == "-" else value + term
+        return text, value
+
+    def term(self, depth: int):
+        rng, gap = self.rng, self.gap
+        text, value = self.factor(depth)
+        for _ in range(rng.choice((0, 0, 1, 1, 2))):
+            if rng.random() < 0.7:
+                factor_text, factor = self.factor(depth)
+                text += gap() + "*" + gap() + factor_text
+                value = value * factor
+            else:
+                divisor_text, l, c = self.divisor()
+                text += gap() + "/" + gap() + divisor_text
+                value = value * _central(l=-l, c=c.inverse())
+        return text, value
+
+    def divisor(self):
+        """Text of a central monomial, with its lam exponent and QQi."""
+        rng = self.rng
+        n, m, l = rng.randint(1, 9), rng.randint(1, 9), rng.randint(-2, 2)
+        return rng.choice((
+            (str(n), 0, QQi(n)),
+            ("i", 0, QQi(0, 1)),
+            (f"lam^{l}", l, QQi(1)),
+            (f"({n}*lam^{l})", l, QQi(n)),
+            (f"(-{n}*i)", 0, QQi(0, -n)),
+            (f"({n}/{m})", 0, QQi(Fraction(n, m))),
+        ))
+
+    def factor(self, depth: int):
+        rng, gap = self.rng, self.gap
+        kinds = ["int", "i", "central", "macro", "gen", "gen", "gen"]
+        if depth:
+            kinds += ["paren", "bracket"]
+        kind = rng.choice(kinds)
+        if kind == "int":
+            n = rng.randint(0, 12)
+            return str(n), NCExpr.scalar(n)
+        if kind == "i":
+            return "i", NCExpr.imag_unit()
+        if kind == "central":
+            name = rng.choice(("lam", "hbar", "alpha"))
+            k = rng.choice((None, 0, 1, 2, 3) + ((-1, -3) if name == "lam" else ()))
+            power = 1 if k is None else k
+            value = _central(**{name[0]: power})
+            return name + ("" if k is None else f"^{k}"), value
+        if kind == "macro":
+            name = rng.choice(("beta", "delta"))
+            k = rng.choice((None, 0, 1, 2, 3))
+            if name == "beta":
+                base = NCExpr.imag_unit() * NCExpr.hbar() / 4
+            else:
+                base = _central(a=1) - Fraction(1, 2)
+            value = base if k is None else base ** k
+            return name + ("" if k is None else f"^{k}"), value
+        if kind == "gen":
+            name = rng.choice(GENERATORS)
+            order = rng.choice((0, 0, 0, 1, 2))
+            if name in INVERTIBLE and order == 0 and rng.random() < 0.3:
+                k = rng.randint(1, 2)
+                return f"{name}^-{k}", NCExpr.gen(name, 0, True) ** k
+            k = rng.choice((None, None, 0, 1, 2))
+            value = NCExpr.gen(name, order) ** (1 if k is None else k)
+            return name + "'" * order + ("" if k is None else f"^{k}"), value
+        if kind == "paren":
+            inner_text, inner = self.expr(depth - 1)
+            return "(" + gap() + inner_text + gap() + ")", inner
+        left_text, left = self.expr(depth - 1)
+        right_text, right = self.expr(depth - 1)
+        subscript = rng.choice(("", "_-", "_+"))
+        text = ("[" + gap() + left_text + gap() + "," + gap() + right_text
+                + gap() + "]" + subscript)
+        if subscript == "_+":
+            return text, anticommutator(left, right)
+        return text, commutator(left, right)
+
+
+def test_grammar_generated_texts_parse_to_their_trees():
+    gen = GrammarTexts(random.Random(1313))
+    for _ in range(500):
+        text, value = gen.expr(depth=2)
+        assert parse(text) == value, text
 
 
 # ---------------------------------------------------------------------------
