@@ -11,9 +11,10 @@ registers each entry with its citation, the texts it parses and its
 parameter slots; a slot names a parameter and the sign with which it
 enters ``alpha``.  ``_Entry.make`` is the one place where an entry is
 built: it parses the texts anew on every call.  Inside a
-``shared_builds()`` block, which every ``laxlab`` command runs in,
-``build`` calls it once per key and parameter value and hands that one
-value to every caller; outside a block every call builds a fresh value.
+``shared_builds()`` block, which every ``laxlab`` command that builds
+entries runs in, ``build`` calls it once per key and parameter value and
+hands that one value to every caller; outside a block every call builds
+a fresh value.
 Callers must therefore never mutate a built value.  Built values carry no
 name or citation; ``describe`` serves those.
 
@@ -26,9 +27,8 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .laxmat import Mat2
 from .ncexpr import LaxlabError, NCExpr, QQi
@@ -39,8 +39,7 @@ class CatalogError(LaxlabError):
     """Unknown key or unusable parameters."""
 
 
-@dataclass(frozen=True)
-class LaxPairSpec:
+class LaxPairSpec(NamedTuple):
     """A linear-problem pair: ``p`` drives d/dz, ``q`` drives the spectral
     derivative.  ``rules`` names the built-in rule sets relevant to the
     pair (relations its setting assumes, inverses its entries mention)."""
@@ -50,26 +49,22 @@ class LaxPairSpec:
     rules: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class GaugeSpec:
+class GaugeSpec(NamedTuple):
     """A constant gauge matrix with its exact two-sided inverse."""
 
     g: Mat2
     g_inv: Mat2
 
 
-@dataclass(frozen=True)
-class TargetEquation:
+class TargetEquation(NamedTuple):
     lhs: NCExpr
 
 
-@dataclass(frozen=True)
-class TargetSystem:
+class TargetSystem(NamedTuple):
     equations: tuple[NCExpr, ...]
 
 
-@dataclass(frozen=True)
-class _Entry:
+class _Entry(NamedTuple):
     kind: str
     citation: str
     #: (slot name, sign with which the slot enters alpha)

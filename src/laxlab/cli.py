@@ -10,26 +10,27 @@ catalog    list or show the recorded constructions
 
 Each invocation builds the argument parser of the named subcommand only;
 help, a missing or unknown command, or an option in first place builds all
-five, so every help and error text reads the same either way.  A command
-runs inside ``catalog.shared_builds()``, so it builds each catalog entry at
-most once per parameter value.
+five, so every help and error text reads the same either way.  Each command
+imports only the modules it runs: ``reduce --expr`` needs the kernel alone.
+A command that builds catalog entries (``verify``, ``derive``, ``reduce``
+of a KEY, ``catalog show``) runs inside ``catalog.shared_builds()``, so it
+builds each entry at most once per parameter value.
 
 Exit codes are the process-level contract: 0 when every requested case is
-verified or verified-with-notes, 1 on any discrepancy, failed computation
-or closed output pipe, 2 on usage errors (unknown selectors are rejected
-before any computation runs).  Identical invocations are byte-deterministic
-in json mode.  The ``LAXLAB_PASS_BUDGET`` environment variable overrides the
-rewrite pass budget of every rule-set application.
+verified or verified-with-notes, 1 on any discrepancy, failed computation,
+exhausted memory or closed output pipe, 2 on usage errors (unknown
+selectors are rejected before any computation runs).  Identical
+invocations are byte-deterministic in json mode.  The
+``LAXLAB_PASS_BUDGET`` environment variable overrides the rewrite pass
+budget of every rule-set application.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import catalog, verify
 from .ncexpr import (
     BUILTIN_RULESET_NAMES,
     LaxlabError,
@@ -39,7 +40,6 @@ from .ncexpr import (
     normalize,
     parse as parse_expr,
 )
-from .laxmat import Mat2
 
 
 def _print_report(report, fmt: str) -> None:
@@ -47,10 +47,6 @@ def _print_report(report, fmt: str) -> None:
         print(report.to_json())
     else:
         print(report.to_text(), end="")
-
-
-def _status_code(status: str) -> int:
-    return 1 if status == verify.DISCREPANCY else 0
 
 
 def _ruleset(names):
@@ -64,6 +60,8 @@ def _ruleset(names):
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     rules = _ruleset(args.rules)
     cases = verify.CASES if args.case == "all" else (args.case,)
     try:
@@ -75,6 +73,8 @@ def _cmd_verify(args) -> int:
     if args.case != "all":
         _print_report(reports[0], args.format)
     elif args.format == "json":
+        import json
+
         print(json.dumps([r.to_dict() for r in reports], indent=2,
                          ensure_ascii=False))
     else:
@@ -85,16 +85,18 @@ def _cmd_verify(args) -> int:
         width = max(len(r.case) for r in reports)
         for rep in reports:
             print(f"  {rep.case:{width}s}  {rep.status}")
-    return max(_status_code(r.status) for r in reports)
+    return int(any(r.status == verify.DISCREPANCY for r in reports))
 
 
 def _cmd_derive(args) -> int:
+    from . import verify
+
     report = verify.run("qp34-chain")
     _print_report(report, args.format)
-    return _status_code(report.status)
+    return int(report.status == verify.DISCREPANCY)
 
 
-def _format_mat(m: Mat2) -> str:
+def _format_mat(m) -> str:
     return "\n".join(
         f"  entry {k // 2 + 1}{k % 2 + 1}: {e}"
         for k, e in enumerate(m.entries)
@@ -106,9 +108,12 @@ def _cmd_reduce(args) -> int:
         print("error: give exactly one of a catalog KEY or --expr",
               file=sys.stderr)
         return 2
-    if args.key is not None and args.key not in catalog.keys():
-        print(f"error: unknown catalog key {args.key!r}", file=sys.stderr)
-        return 2
+    if args.key is not None:
+        from . import catalog
+
+        if args.key not in catalog.keys():
+            print(f"error: unknown catalog key {args.key!r}", file=sys.stderr)
+            return 2
 
     subs = None
     if args.v_du:
@@ -199,6 +204,8 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from . import catalog
+
     if args.action == "list":
         for key in catalog.keys():
             info = catalog.describe(key)
@@ -241,6 +248,8 @@ def _cmd_catalog(args) -> int:
 
 
 def _add_verify(sub) -> None:
+    from . import verify
+
     p_verify = sub.add_parser(
         "verify", help="run verification pipelines",
         description="Run one pipeline (or all of them) and print its "
@@ -375,6 +384,16 @@ def build_parser(commands=tuple(_COMMANDS)) -> argparse.ArgumentParser:
     return parser
 
 
+def _builds_catalog(args) -> bool:
+    """Whether the command builds catalog entries, and so runs inside
+    ``catalog.shared_builds()``."""
+    if args.command == "reduce":
+        return args.key is not None
+    if args.command == "catalog":
+        return args.action == "show"
+    return args.command in ("verify", "derive")
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -394,7 +413,12 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        with catalog.shared_builds():
+        if _builds_catalog(args):
+            from . import catalog
+
+            with catalog.shared_builds():
+                code = args.func(args)
+        else:
             code = args.func(args)
         sys.stdout.flush()
     except BrokenPipeError:
@@ -402,6 +426,10 @@ def main(argv=None) -> int:
         # flushes stdout again at exit; pointing it at devnull keeps that
         # flush from failing a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 1
     return code
 

@@ -12,7 +12,6 @@ connection term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -196,8 +195,7 @@ class ProvenanceItem(NamedTuple):
                 f"scale {self.scale}")
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(NamedTuple):
     """An equation lhs == 0 with provenance through a pipeline step."""
 
     lhs: NCExpr

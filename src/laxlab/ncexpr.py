@@ -32,7 +32,6 @@ from __future__ import annotations
 import heapq
 import os
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd
@@ -955,11 +954,20 @@ class _Parser:
             raise self.error(f"expected {op!r}")
         self.i += 1
 
+    def integer(self, digits: str) -> int:
+        """The value of the current token's digits; more digits than the
+        interpreter converts to an integer is a ``ParseError`` there."""
+        try:
+            return int(digits)
+        except ValueError:
+            raise self.error("integer has too many digits") from None
+
     def caret(self) -> int | None:
         tok = self.toks[self.i]
         if tok[:1] == "^":
+            n = self.integer(tok[1:])
             self.i += 1
-            return int(tok[1:])
+            return n
         return None
 
     # -- grammar -------------------------------------------------------------------
@@ -1043,8 +1051,9 @@ class _Parser:
         if tok.isalpha():
             return self.name()
         if tok.isdecimal():
+            n = self.integer(tok)
             self.i += 1
-            return (), _K0, QQi._of(int(tok), 0, 1)
+            return (), _K0, QQi._of(n, 0, 1)
         if tok == "(":
             self.i += 1
             inner = self.expr()
@@ -1152,23 +1161,33 @@ def parse(text: str) -> NCExpr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Rule:
     """An oriented rewrite rule: an adjacent atom pair -> an expression."""
 
-    pattern: tuple[Atom, Atom]
-    replacement: NCExpr
+    __slots__ = ("pattern", "replacement")
 
-    def __post_init__(self):
-        for atom in self.pattern:
+    def __init__(self, pattern: tuple[Atom, Atom], replacement: NCExpr):
+        for atom in pattern:
             _check_atom(atom)
-        for word in self.replacement.terms:
+        for word in replacement.terms:
             for i in range(len(word) - 1):
-                if (word[i], word[i + 1]) == self.pattern:
+                if (word[i], word[i + 1]) == pattern:
                     raise RuleError(
                         "rule replacement reintroduces its own pattern: "
-                        f"{self.pattern!r}"
+                        f"{pattern!r}"
                     )
+        self.pattern = pattern
+        self.replacement = replacement
+
+    def __eq__(self, other):
+        if not isinstance(other, Rule):
+            return NotImplemented
+        return (self.pattern == other.pattern
+                and self.replacement == other.replacement)
+
+    def __repr__(self):
+        return (f"Rule(pattern={self.pattern!r}, "
+                f"replacement={self.replacement!r})")
 
 
 class RuleSet:

@@ -62,7 +62,13 @@ def _as_matrix(value, n: int, name: str) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise NumericError(f"{name} has non-finite entries")
     if a.ndim == 0:
-        a = a * np.eye(n, dtype=complex)
+        try:
+            eye = np.eye(n, dtype=complex)
+        except ValueError:  # numpy's size overflowed: no allocation tried
+            raise MemoryError(
+                f"{name}: the {n} x {n} complex matrix is too large to allocate"
+            ) from None
+        a = a * eye
     if a.shape != (n, n):
         raise NumericError(
             f"{name} has shape {a.shape}, expected ({n}, {n})"
@@ -318,8 +324,15 @@ class Trajectory:
 
 
 def integrate(problem: ODEProblem) -> Trajectory:
-    grid = np.linspace(float(problem.z0), float(problem.z1),
-                       problem.grid_points)
+    """Raises ``MemoryError`` when an array of the problem's size cannot be
+    allocated."""
+    try:
+        grid = np.linspace(float(problem.z0), float(problem.z1),
+                           problem.grid_points)
+    except ValueError:  # numpy's size overflowed: no allocation tried
+        raise MemoryError(
+            f"a grid of {problem.grid_points} points is too large to allocate"
+        ) from None
     states = _solve(problem, grid)
     return Trajectory(problem, grid, states,
                       _fd_residual(problem, grid, states))

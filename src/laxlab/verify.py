@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .ncexpr import (
     QQi,
@@ -90,16 +90,14 @@ def _mat_str(m: Mat2) -> str:
     return "; ".join(parts) if parts else "0"
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     provenance: str
     expression: str
     matched_target: str
     difference: str
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     case: str
     status: str
     equations: list
@@ -110,7 +108,7 @@ class VerificationReport:
         return {
             "case": self.case,
             "status": self.status,
-            "equations": [asdict(r) for r in self.equations],
+            "equations": [r._asdict() for r in self.equations],
             "notes": list(self.notes),
         }
 

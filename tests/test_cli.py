@@ -1,7 +1,7 @@
 """CLI tests: exit-code contract, selector rejection, output formats.
 
-Everything runs through in-process ``cli.main`` except two real subprocess
-tests of the installed entry point.
+Everything runs through in-process ``cli.main`` except the real subprocess
+tests of the installed entry point and of what a cold command imports.
 """
 
 import csv
@@ -232,6 +232,16 @@ def test_reduce_deeply_nested_expr_exits_one_without_traceback(capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, pos", [("1" * 5000, 0), ("u^" + "1" * 5000, 1)],
+                         ids=["5000-digit-integer", "5000-digit-exponent"])
+def test_reduce_overlong_integer_exits_one_without_traceback(text, pos, capsys):
+    code, out, err = run_cli(["reduce", "--expr", text], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(
+        f"error: integer has too many digits (at position {pos}, ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_reduce_pair_prints_both_members(capsys):
     code, out, _ = run_cli(["reduce", "fn-pair", "--v-du"], capsys)
     assert code == 0
@@ -276,6 +286,38 @@ def test_integrate_pole_exits_one(capsys):
         capsys,
     )
     assert code == 1 and "error" in err
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["integrate", "matrix-pii", "--n", "1000000000000"],
+     "u0: the 1000000000000 x 1000000000000 complex matrix"),
+    (["integrate", "pii", "--grid", str(2**62)], f"a grid of {2**62} points"),
+], ids=["n", "grid"])
+def test_integrate_size_past_the_address_space_exits_one(argv, what, capsys):
+    # numpy rejects these byte counts, above 2**63, before allocating
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: out of memory: {what} is too large to allocate\n"
+
+
+@pytest.mark.parametrize("argv, target, failure, detail", [
+    (["integrate", "matrix-pii", "--n", "1000000"], "eye",
+     MemoryError("Unable to allocate 14.6 TiB"), "Unable to allocate 14.6 TiB"),
+    (["integrate", "pii", "--grid", "100000000000"], "linspace",
+     MemoryError(), "allocation failed"),
+], ids=["n", "grid"])
+def test_integrate_allocation_failure_exits_one(argv, target, failure, detail,
+                                                monkeypatch, capsys):
+    # the allocation is refused by a stand-in, never attempted
+    from laxlab import numeric
+
+    def refuse(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(numeric.np, target, refuse)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: out of memory: {detail}\n"
 
 
 def test_integrate_writes_file(tmp_path, capsys):
@@ -370,3 +412,31 @@ def test_closed_stdout_pipe_exits_1_without_traceback():
         os.close(write_end)
     assert child.returncode == 1
     assert "Traceback" not in child.stderr
+
+
+def _modules_after(code: str) -> set:
+    """The modules loaded once ``code`` has run in a fresh interpreter."""
+    child = subprocess.run(
+        [sys.executable, "-c",
+         code + "\nimport sys\nprint(' '.join(sorted(sys.modules)))"],
+        capture_output=True, text=True, timeout=120, env=_child_env(),
+    )
+    assert child.returncode == 0, child.stderr
+    return set(child.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["reduce", "--expr", "v*z", "--rules", "quantum-zv"],
+     {"laxlab.verify", "laxlab.catalog", "laxlab.laxmat", "laxlab.numeric",
+      "dataclasses", "json"}),
+    (["verify", "--case", "prop31", "--format", "json"],
+     {"dataclasses", "laxlab.numeric"}),
+    (["catalog", "list"], {"laxlab.verify", "laxlab.numeric"}),
+], ids=["reduce-expr", "verify-json", "catalog-list"])
+def test_cold_command_loads_only_what_it_runs(argv, absent):
+    # diffed against a bare interpreter, since ``site`` may preload modules
+    bare = _modules_after("")
+    loaded = _modules_after(
+        f"from laxlab.cli import main\nassert main({argv!r}) == 0") - bare
+    assert "laxlab.cli" in loaded
+    assert sorted(loaded & absent) == []

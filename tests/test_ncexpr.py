@@ -275,6 +275,11 @@ def test_parse_errors():
     ("u/alpha^2", "division by hbar or alpha is not representable", 2),
     ("u/0", "division by zero", 2),
     ("u + v/(1 - 1)", "division by zero", 6),
+    # past the interpreter's limit on integer string conversion
+    pytest.param("1" * 5000, "integer has too many digits", 0,
+                 id="5000-digit-integer"),
+    pytest.param("u^" + "1" * 5000, "integer has too many digits", 1,
+                 id="5000-digit-exponent"),
 ])
 def test_parse_error_text_and_position(text, message, pos):
     with pytest.raises(ParseError) as info:
@@ -819,6 +824,35 @@ def test_hand_built_ruleset():
     rs = RuleSet("swap-uz", (Rule((Atom("u"), Atom("z")), z * u),))
     assert normalize(P("u*z"), rs) == P("z*u")
     assert rs.decreasing
+
+
+def test_rule_rejects_replacement_that_reintroduces_its_pattern():
+    with pytest.raises(RuleError) as info:
+        Rule((Atom("u"), Atom("z")), P("z*u + 2*v*u*z"))
+    assert "reintroduces its own pattern" in str(info.value)
+
+
+@pytest.mark.parametrize("pattern, message", [
+    ((Atom("w"), Atom("z")), "undeclared generator 'w'"),
+    ((Atom("u"), Atom("u", 0, True)), "generator 'u' is not declared invertible"),
+    ((Atom("p", 1, True), Atom("z")), "inverse atoms carry derivative order 0"),
+])
+def test_rule_rejects_illegal_pattern_atoms(pattern, message):
+    with pytest.raises(ContextError) as info:
+        Rule(pattern, P("z*u"))
+    assert message in str(info.value)
+
+
+def test_rules_with_equal_fields_compare_equal():
+    a = Rule((Atom("u"), Atom("z")), P("z*u - hbar"))
+    assert a == Rule((Atom("u"), Atom("z")), P("z*u - hbar"))
+    assert a != Rule((Atom("u"), Atom("z")), P("z*u"))
+    assert a != Rule((Atom("v"), Atom("z")), P("z*u - hbar"))
+    assert a.pattern == (Atom("u"), Atom("z"))
+    assert a.replacement == P("z*u - hbar")
+    assert repr(Rule((Atom("u"), Atom("z")), P("z*u"))) == (
+        "Rule(pattern=(Atom(gen='u', order=0, inv=False), "
+        "Atom(gen='z', order=0, inv=False)), replacement=NCExpr(z*u))")
 
 
 @pytest.mark.parametrize("name", BUILTIN_RULESET_NAMES)
