@@ -33,6 +33,7 @@ import sys
 
 from .ncexpr import (
     BUILTIN_RULESET_NAMES,
+    DERIVATIVE_TOWER_ORDER,
     LaxlabError,
     NCExpr,
     builtin_ruleset,
@@ -57,6 +58,26 @@ def _ruleset(names):
     return sets[0] if len(sets) == 1 else combine_rulesets(
         "+".join(names), *sets
     )
+
+
+#: The rule sets that carry rules for the derivatives of u and v only up to
+#: DERIVATIVE_TOWER_ORDER: a higher derivative would stay unrewritten.
+_TOWER_SETS = frozenset({"quantum-zv", "quantum-zu", "commute-vu",
+                         "commute-uu"})
+
+
+def _check_tower_orders(e: NCExpr, towers: str) -> None:
+    """Reject a u or v atom above the derivative order that the rule sets
+    ``towers`` carry rules for."""
+    for word in e.terms:
+        for atom in word:
+            if atom.order > DERIVATIVE_TOWER_ORDER and atom.gen in ("u", "v"):
+                text = atom.gen + "'" * atom.order
+                raise LaxlabError(
+                    f"{text}: derivative order {atom.order} is above "
+                    f"{DERIVATIVE_TOWER_ORDER}, the highest that the rules "
+                    f"of {towers} cover"
+                )
 
 
 def _cmd_verify(args) -> int:
@@ -123,10 +144,13 @@ def _cmd_reduce(args) -> int:
     elif args.v_zero:
         subs = {"v": NCExpr.zero()}
     rules = _ruleset(args.rules)
+    towers = "+".join(n for n in args.rules or () if n in _TOWER_SETS)
 
     def reduce_expr(e: NCExpr) -> NCExpr:
         if subs is not None:
             e = e.substitute(subs)
+        if towers:
+            _check_tower_orders(e, towers)
         if args.hbar_zero:
             e = e.classical_limit()
         if rules is not None:
@@ -137,30 +161,34 @@ def _cmd_reduce(args) -> int:
             e = e.canonical()
         return e
 
+    # Everything is reduced before anything is printed, so a failed
+    # reduction prints its error line alone.
     try:
         if args.expr is not None:
-            print(reduce_expr(parse_expr(args.expr)))
-            return 0
-        obj = catalog.build(args.key)
+            text = str(reduce_expr(parse_expr(args.expr)))
+        else:
+            obj = catalog.build(args.key)
+            if isinstance(obj, catalog.TargetEquation):
+                text = str(reduce_expr(obj.lhs))
+            elif isinstance(obj, catalog.TargetSystem):
+                text = "\n".join(
+                    f"eq {k}: {reduce_expr(eq)}"
+                    for k, eq in enumerate(obj.equations, start=1)
+                )
+            elif isinstance(obj, catalog.LaxPairSpec):
+                text = "\n".join((
+                    "z-member:", _format_mat(obj.p.map(reduce_expr)),
+                    "spectral member:", _format_mat(obj.q.map(reduce_expr)),
+                ))
+            else:
+                print(f"error: catalog key {args.key!r} holds a gauge "
+                      "matrix, which the reduction lattice does not apply to",
+                      file=sys.stderr)
+                return 2
     except LaxlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    if isinstance(obj, catalog.TargetEquation):
-        print(reduce_expr(obj.lhs))
-    elif isinstance(obj, catalog.TargetSystem):
-        for k, eq in enumerate(obj.equations, start=1):
-            print(f"eq {k}: {reduce_expr(eq)}")
-    elif isinstance(obj, catalog.LaxPairSpec):
-        print("z-member:")
-        print(_format_mat(obj.p.map(reduce_expr)))
-        print("spectral member:")
-        print(_format_mat(obj.q.map(reduce_expr)))
-    else:
-        print(f"error: catalog key {args.key!r} holds a gauge matrix, "
-              "which the reduction lattice does not apply to",
-              file=sys.stderr)
-        return 2
+    print(text)
     return 0
 
 

@@ -382,6 +382,10 @@ def _constant(value) -> Scalar:
     return _mono((0, 0, 0), value if isinstance(value, QQi) else QQi(value))
 
 
+#: The unit coefficient 1.
+_ONE = Scalar({(0, 0, 0): _QQI_ONE})
+
+
 # ---------------------------------------------------------------------------
 # Atoms, words, the generator alphabet
 # ---------------------------------------------------------------------------
@@ -1162,22 +1166,40 @@ def parse(text: str) -> NCExpr:
 
 
 class Rule:
-    """An oriented rewrite rule: an adjacent atom pair -> an expression."""
+    """An oriented rewrite rule: an adjacent atom pair -> an expression.
 
-    __slots__ = ("pattern", "replacement")
+    Two facts are computed once, when the rule is built.  ``decreasing`` is
+    true when every word of the replacement is smaller than the pattern in
+    the canonical (shortlex) word order.  ``steps`` holds, for each term of
+    the replacement, its word, the per-atom part of the word's sort key and
+    its coefficient, given as ``None`` when it is 1: :func:`normalize`
+    splices the key part into the rewritten word's key instead of
+    recomputing it, and adds a rewritten word's coefficient as it is
+    instead of multiplying it by one.
+    """
+
+    __slots__ = ("pattern", "replacement", "decreasing", "steps")
 
     def __init__(self, pattern: tuple[Atom, Atom], replacement: NCExpr):
         for atom in pattern:
             _check_atom(atom)
-        for word in replacement.terms:
+        key = _word_key(pattern)
+        decreasing = True
+        steps = []
+        for word, scal in replacement.terms.items():
             for i in range(len(word) - 1):
                 if (word[i], word[i + 1]) == pattern:
                     raise RuleError(
                         "rule replacement reintroduces its own pattern: "
                         f"{pattern!r}"
                     )
+            word_key = _word_key(word)
+            decreasing = decreasing and word_key < key
+            steps.append((word, word_key[1], None if scal == _ONE else scal))
         self.pattern = pattern
         self.replacement = replacement
+        self.decreasing = decreasing
+        self.steps = tuple(steps)
 
     def __eq__(self, other):
         if not isinstance(other, Rule):
@@ -1197,10 +1219,9 @@ class RuleSet:
     and at each position the first matching rule (in registration order)
     fires.  Earlier rules take precedence when two share a pattern.
 
-    ``decreasing`` is true when every word of every replacement is smaller
-    than its rule's pattern in the canonical (shortlex) word order, so that
-    rewriting must terminate; :func:`normalize` then scales its default
-    budget with the input.
+    ``decreasing`` is true when every rule is (:attr:`Rule.decreasing`), so
+    that rewriting must terminate; :func:`normalize` then scales its
+    default budget with the input.
     """
 
     def __init__(
@@ -1214,10 +1235,7 @@ class RuleSet:
         self.name = name
         self.rules = tuple(rules)
         self.max_passes = max_passes
-        self.decreasing = all(
-            _word_key(word) < _word_key(rule.pattern)
-            for rule in self.rules for word in rule.replacement.terms
-        )
+        self.decreasing = all(rule.decreasing for rule in self.rules)
         table: dict[tuple[Atom, Atom], Rule] = {}
         for rule in self.rules:
             table.setdefault(rule.pattern, rule)
@@ -1268,8 +1286,9 @@ def normalize(e: NCExpr, rules: RuleSet | None, budget: int | None = None) -> NC
 
     Deterministic: pending words are processed smallest-first in the
     canonical word order.  They wait in a heap keyed by that order; each
-    word's key is computed once, when the word enters the pending map, and
-    since the key is injective the words pop in exactly the order of a
+    word's key is computed once, when the word enters the pending map (a
+    rewritten word's from the key of the word it came from), and since the
+    key is injective the words pop in exactly the order of a
     smallest-word scan over the pending map.  Every rule application counts
     against the budget (explicit argument, then the LAXLAB_PASS_BUDGET
     environment variable, then the rule set's own maximum, which for a
@@ -1287,7 +1306,7 @@ def normalize(e: NCExpr, rules: RuleSet | None, budget: int | None = None) -> NC
     done: dict[tuple, Scalar] = {}
     applications = 0
     while heap:
-        word = heapq.heappop(heap)[1]
+        key, word = heapq.heappop(heap)
         # A word whose coefficient cancelled, or that was already popped
         # through a second heap entry, is no longer pending: skip it.
         scal = pending.pop(word, None)
@@ -1304,14 +1323,20 @@ def normalize(e: NCExpr, rules: RuleSet | None, budget: int | None = None) -> NC
         applications += 1
         pos, rule = hit
         head, tail = word[:pos], word[pos + 2 :]
-        for rword, rscal in rule.replacement.terms.items():
+        # A new word's key, _word_key(new_word), is spliced from the popped
+        # word's key: the replaced atoms' part gives way to the step's.
+        atoms = key[1]
+        khead, ktail = atoms[:pos], atoms[pos + 2 :]
+        for rword, rkey, rscal in rule.steps:
             new_word = head + rword + tail
-            add = scal * rscal
+            add = scal if rscal is None else scal * rscal
             acc = pending.get(new_word)
             if acc is None:
                 if add:
                     pending[new_word] = add
-                    heapq.heappush(heap, (_word_key(new_word), new_word))
+                    heapq.heappush(
+                        heap, ((len(new_word), khead + rkey + ktail), new_word)
+                    )
                 continue
             add = acc + add
             if add:
@@ -1338,17 +1363,21 @@ def anticommutator(a: NCExpr, b: NCExpr) -> NCExpr:
 # Built-in rule sets
 # ---------------------------------------------------------------------------
 
+# The tower rules are written out as term maps, in the term order that
+# their algebraic definitions (products and sums of generators) give.
+
 
 def _z_tower(name: str, gen: str, sign: int) -> RuleSet:
     """The rules x^(k) * z -> z * x^(k) + sign*(i/2)*hbar*u^(k) for
     x = ``gen`` and k = 0 .. DERIVATIVE_TOWER_ORDER: normal ordering that
     pushes z leftward past every derivative of one generator."""
-    z = NCExpr.gen("z")
-    half = NCExpr._of({(): _mono((0, 1, 0), QQi(0, Fraction(sign, 2)))})
+    z = Atom("z", 0)
+    half = _mono((0, 1, 0), QQi(0, Fraction(sign, 2)))
     rules = []
     for k in range(DERIVATIVE_TOWER_ORDER + 1):
-        repl = z * NCExpr.gen(gen, k) + half * NCExpr.gen("u", k)
-        rules.append(Rule((Atom(gen, k), Atom("z", 0)), repl))
+        x = Atom(gen, k)
+        repl = NCExpr._of({(z, x): _ONE, (Atom("u", k),): half})
+        rules.append(Rule((x, z), repl))
     return RuleSet(name, rules)
 
 
@@ -1384,9 +1413,10 @@ def commute_vu_rules() -> RuleSet:
     """Let v and all its derivatives commute past u and all its derivatives."""
     rules = []
     for j in range(DERIVATIVE_TOWER_ORDER + 1):
+        v = Atom("v", j)
         for k in range(DERIVATIVE_TOWER_ORDER + 1):
-            repl = NCExpr.gen("u", k) * NCExpr.gen("v", j)
-            rules.append(Rule((Atom("v", j), Atom("u", k)), repl))
+            u = Atom("u", k)
+            rules.append(Rule((v, u), NCExpr._of({(u, v): _ONE})))
     return RuleSet("commute-vu", rules)
 
 
@@ -1394,9 +1424,10 @@ def commute_uu_rules() -> RuleSet:
     """Let u commute with its own derivatives (sorted by order)."""
     rules = []
     for j in range(DERIVATIVE_TOWER_ORDER + 1):
+        high = Atom("u", j)
         for k in range(j):
-            repl = NCExpr.gen("u", k) * NCExpr.gen("u", j)
-            rules.append(Rule((Atom("u", j), Atom("u", k)), repl))
+            low = Atom("u", k)
+            rules.append(Rule((high, low), NCExpr._of({(low, high): _ONE})))
     return RuleSet("commute-uu", rules)
 
 

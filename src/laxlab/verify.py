@@ -27,7 +27,6 @@ matching.
 
 from __future__ import annotations
 
-import json
 import time
 from fractions import Fraction
 from typing import NamedTuple
@@ -113,6 +112,8 @@ class VerificationReport(NamedTuple):
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_dict(), indent=2, ensure_ascii=False)
 
     def to_text(self) -> str:

@@ -242,6 +242,40 @@ def test_reduce_overlong_integer_exits_one_without_traceback(text, pos, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+_U8, _U9, _V8 = "u" + "'" * 8, "u" + "'" * 9, "v" + "'" * 8
+
+
+def test_reduce_top_of_derivative_tower(capsys):
+    code, out, _ = run_cli(
+        ["reduce", "--expr", f"{_U8}*z - z*{_U8}", "--rules", "quantum-zu"],
+        capsys,
+    )
+    assert code == 0 and out == f"1/2*i*hbar*{_U8}\n"
+
+
+@pytest.mark.parametrize("argv, towers", [
+    (["--expr", f"{_U9}*z - z*{_U9}", "--rules", "quantum-zu"], "quantum-zu"),
+    (["--expr", f"{_V8}*z", "--v-du", "--rules", "quantum-zv", "--rules",
+      "inverse-pq", "--rules", "commute-vu"], "quantum-zv+commute-vu"),
+], ids=["u9", "v8-bound-to-u9"])
+def test_reduce_above_derivative_tower_exits_one(argv, towers, capsys):
+    code, out, err = run_cli(["reduce", *argv], capsys)
+    assert code == 1 and out == ""
+    assert err == (f"error: {_U9}: derivative order 9 is above 8, the "
+                   f"highest that the rules of {towers} cover\n")
+
+
+def test_reduce_key_failure_prints_one_error_line(monkeypatch, capsys):
+    monkeypatch.setenv("LAXLAB_PASS_BUDGET", "1")
+    code, out, err = run_cli(
+        ["reduce", "qmpii-target-residual", "--rules", "quantum-zu",
+         "--rules", "commute-vu"], capsys
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: rewrite budget of 1 rule applications ")
+    assert err.count("\n") == 1
+
+
 def test_reduce_pair_prints_both_members(capsys):
     code, out, _ = run_cli(["reduce", "fn-pair", "--v-du"], capsys)
     assert code == 0
@@ -431,8 +465,11 @@ def _modules_after(code: str) -> set:
       "dataclasses", "json"}),
     (["verify", "--case", "prop31", "--format", "json"],
      {"dataclasses", "laxlab.numeric"}),
+    (["verify", "--case", "prop31"], {"dataclasses", "laxlab.numeric", "json"}),
+    (["derive", "p34"], {"dataclasses", "laxlab.numeric", "json"}),
     (["catalog", "list"], {"laxlab.verify", "laxlab.numeric"}),
-], ids=["reduce-expr", "verify-json", "catalog-list"])
+], ids=["reduce-expr", "verify-json", "verify-text", "derive-text",
+        "catalog-list"])
 def test_cold_command_loads_only_what_it_runs(argv, absent):
     # diffed against a bare interpreter, since ``site`` may preload modules
     bare = _modules_after("")

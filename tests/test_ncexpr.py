@@ -628,6 +628,82 @@ def test_combine_rulesets():
     assert normalize(P("[z,v] + (i/2)*hbar*u + p*p^-1 - 1"), rs).is_zero
 
 
+def _algebraic_rules(name: str) -> list:
+    """The built-in rules of ``name``, written with generator arithmetic."""
+    g, tower = NCExpr.gen, range(DERIVATIVE_TOWER_ORDER + 1)
+    z, hbar = g("z"), NCExpr.hbar()
+    if name in ("quantum-zv", "quantum-zu"):
+        x, half = name[-1], P("i/2") * hbar
+        return [Rule((Atom(x, k), Atom("z")), z * g(x, k) + half * g("u", k))
+                for k in tower]
+    if name == "commute-vu":
+        return [Rule((Atom("v", j), Atom("u", k)), g("u", k) * g("v", j))
+                for j in tower for k in tower]
+    if name == "commute-uu":
+        return [Rule((Atom("u", j), Atom("u", k)), g("u", k) * g("u", j))
+                for j in tower for k in range(j)]
+    if name == "inverse-pq":
+        return [Rule(pair, NCExpr.one()) for n in "pqr"
+                for pair in ((Atom(n), Atom(n, 0, True)),
+                             (Atom(n, 0, True), Atom(n)))]
+    u, q, r = g("u"), g("q"), g("r")
+    return [Rule((Atom("r"), Atom("q")), q * r + 2 * hbar * u),
+            Rule((Atom("q"), Atom("u")), u * q - hbar),
+            Rule((Atom("r"), Atom("u")), u * r - hbar)]
+
+
+@pytest.mark.parametrize("name", BUILTIN_RULESET_NAMES)
+def test_builtin_rules_equal_their_algebraic_definitions(name):
+    got, want = builtin_ruleset(name).rules, tuple(_algebraic_rules(name))
+    assert got == want
+    for a, b in zip(got, want):
+        assert list(a.replacement.terms) == list(b.replacement.terms)
+        assert [list(s.terms) for s in a.replacement.terms.values()] == \
+            [list(s.terms) for s in b.replacement.terms.values()]
+
+
+def _steps(rule: Rule) -> list:
+    return [(word, scal) for word, _, scal in rule.steps]
+
+
+def test_rule_steps_mark_unit_coefficients():
+    vu = builtin_ruleset("commute-vu").rules[0]
+    assert _steps(vu) == [((Atom("u"), Atom("v")), None)]
+    zv = builtin_ruleset("quantum-zv").rules[0]
+    assert _steps(zv) == [((Atom("z"), Atom("v")), None),
+                          ((Atom("u"),), P("i/2*hbar").terms[()])]
+    assert _steps(Rule((Atom("u"), Atom("z")), P("2*z*u"))) == [
+        ((Atom("z"), Atom("u")), P("2").terms[()])]
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["decreasing-first",
+                                                      "uphill-first"])
+def test_combine_rulesets_matches_concatenated_rules(first):
+    # the (z, u) pattern is in both sets: the first registered rule wins
+    zu = builtin_ruleset("quantum-zu")
+    dec = RuleSet("dec", zu.rules + (Rule((Atom("z"), Atom("u")), P("2*u")),))
+    assert dec.decreasing
+    sets = (dec, _uphill_rules()) if first else (_uphill_rules(), dec)
+    got = combine_rulesets("mixed", *sets)
+    want = RuleSet("mixed", sets[0].rules + sets[1].rules)
+    assert got.rules == want.rules
+    assert got.decreasing == want.decreasing is False
+    for text in ("z*u", "z*v", "u*z", "v*u*z*u", "u''*z*z*v"):
+        word = P(text).min_word()
+        assert got.find(word) == want.find(word)
+    assert got.find(P("z*u").min_word())[1] is sets[0].rules[-1 if first else 0]
+
+
+def test_normalize_unit_steps_leave_the_input_unchanged():
+    e = P("(1 + hbar + lam)*v*u + (i - alpha)*v'*u'*v*u + 2*u*v*u''"
+          " + (lam^-1 - 3*i*hbar)*v''*u*v")
+    before = {w: dict(s.terms) for w, s in e.terms.items()}
+    got = _assert_same_as_min_scan(e, builtin_ruleset("commute-vu"))
+    assert {w: dict(s.terms) for w, s in e.terms.items()} == before
+    assert got == P("(1 + hbar + lam)*u*v + (i - alpha)*u'*u*v'*v"
+                    " + 2*u*u''*v + (lam^-1 - 3*i*hbar)*u*v''*v")
+
+
 def _word_order_key(word: tuple) -> tuple:
     return (len(word),
             tuple((GENERATORS.index(a.gen), a.order, int(a.inv)) for a in word))
@@ -867,6 +943,7 @@ def test_non_decreasing_ruleset_keeps_its_budget():
     # one decreasing rule next to an uphill one does not make a set decreasing
     z, u = NCExpr.gen("z"), NCExpr.gen("u")
     mixed = RuleSet("mixed", (Rule((Atom("u"), Atom("z")), z * u), rules[0]))
+    assert [rule.decreasing for rule in mixed.rules] == [True, False]
     assert not mixed.decreasing
     with pytest.raises(PassBudgetExhausted) as info:
         normalize(P("z*u*z*u + z*v*z*v"), RuleSet("uphill-1", rules, 1))
