@@ -14,9 +14,16 @@ Conventions (matching the symbolic catalog):
 * ``p34``:                   u'' = 2*u^3 + z*u - alpha   (the convention under
   which the map p = u^2 + u' + z/2 closes onto the second-order p-equation)
 * ``dpii3``:                 u''' = 2*(u'*u^2 + u*u'*u + u^2*u') - u/3 - z*u'/3
+  (the z-derivative of the first integral u'' - 2*u^3 + z*u/3; for n >= 2
+  not the catalog's ``dmpii``, which it matches only when u commutes with
+  its derivatives)
 
 Matrix powers are ordered products; the scalar coefficient z multiplies
 entrywise, which is the scalar image of the anticommutator (1/2)*[z, u]_+.
+The ``p34`` alpha has the sign opposite to the one in
+``pii-classical-derived`` (u'' = 2*u^3 + z*u + alpha).
+
+The integrator is DOP853 from ``_dop853``, a numpy-only port.
 """
 
 from __future__ import annotations
@@ -29,15 +36,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import solve_ivp
 
+from ._dop853 import solve_ivp
 from .ncexpr import LaxlabError
 
 POLE_THRESHOLD = 1e8
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 DEFAULT_GRID = 161
-RTOL_FLOOR = 100 * np.finfo(float).eps  # the smallest rtol solve_ivp honours
+# laxlab's own floor on rtol, 100 machine epsilons: below it the rounding
+# error of a step, not its truncation error, would set the step size
+RTOL_FLOOR = 100 * np.finfo(float).eps
 
 RHS_IDS = ("pii", "p34", "matrix-pii", "dpii3")
 
@@ -111,7 +120,6 @@ class ODEProblem:
             if not 0 < float(getattr(self, name)) < math.inf:
                 raise NumericError(f"{name} must be a positive finite number")
         if float(self.rtol) < RTOL_FLOOR:
-            # scipy would raise it to the floor with only a warning
             raise NumericError(f"rtol must be at least {RTOL_FLOOR:.3g}")
         self.alpha = complex(self.alpha)
         self.u0 = _as_matrix(self.u0, self.n, "u0")
@@ -179,7 +187,6 @@ def _pole_event(problem: ODEProblem):
         umax = np.max(np.hypot(y[:m0], y[m : m + m0]))
         return POLE_THRESHOLD - umax
 
-    ev.terminal = True
     return ev
 
 
@@ -196,14 +203,13 @@ def _solve(problem: ODEProblem, grid: np.ndarray) -> np.ndarray:
         _flow(problem),
         (float(problem.z0), float(problem.z1)),
         _pack(problem),
-        method="DOP853",
         t_eval=grid,
         rtol=problem.rtol,
         atol=problem.atol,
-        events=[_pole_event(problem)],
+        event=_pole_event(problem),
     )
     if sol.status == 1:
-        where = sol.t_events[0][0] if len(sol.t_events[0]) else problem.z1
+        where = sol.t_events[0][0]
         raise PoleEncountered(
             f"|u| exceeded {POLE_THRESHOLD:g} near z = {where:.6g}"
         )

@@ -468,8 +468,10 @@ def _modules_after(code: str) -> set:
     (["verify", "--case", "prop31"], {"dataclasses", "laxlab.numeric", "json"}),
     (["derive", "p34"], {"dataclasses", "laxlab.numeric", "json"}),
     (["catalog", "list"], {"laxlab.verify", "laxlab.numeric"}),
+    (["integrate", "pii", "--grid", "9"], {"scipy"}),
+    (["verify", "--case", "numeric-pii"], {"scipy"}),
 ], ids=["reduce-expr", "verify-json", "verify-text", "derive-text",
-        "catalog-list"])
+        "catalog-list", "integrate", "verify-numeric"])
 def test_cold_command_loads_only_what_it_runs(argv, absent):
     # diffed against a bare interpreter, since ``site`` may preload modules
     bare = _modules_after("")
@@ -477,3 +479,45 @@ def test_cold_command_loads_only_what_it_runs(argv, absent):
         f"from laxlab.cli import main\nassert main({argv!r}) == 0") - bare
     assert "laxlab.cli" in loaded
     assert sorted(loaded & absent) == []
+
+
+_BLOCK_SCIPY = '''
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+'''
+
+
+def test_numeric_commands_run_without_scipy(capsys):
+    argvs = [
+        ["integrate", "pii", "--alpha", "1.0", "--u0", "1.0", "--du0=-1.0"],
+        ["integrate", "p34", "--z1", "2", "--u0", "0.1+0.2j", "--du0", "0.1"],
+        ["integrate", "matrix-pii", "--n", "2", "--z1", "3", "--u0", "0.2",
+         "--du0=-0.1j"],
+        ["integrate", "dpii3", "--z1", "3", "--u0", "0.3+0.1j",
+         "--du0=-0.2", "--ddu0", "0.05", "--grid", "41"],
+        ["verify", "--case", "all", "--format", "json"],
+    ]
+    expected = ""
+    for argv in argvs:
+        code, out, _ = run_cli(argv, capsys)
+        expected += out + f"--- exit {code}\n"
+    child = subprocess.run(
+        [sys.executable, "-c", _BLOCK_SCIPY + (
+            "from laxlab.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    code = main(argv)\n"
+            "    sys.stdout.write(f'--- exit {code}\\n')\n"
+            "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+        )],
+        capture_output=True, text=True, timeout=300, env=_child_env(),
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.count("--- exit 0\n") == len(argvs)
+    assert child.stdout == expected

@@ -163,7 +163,7 @@ def test_problem_rejects_non_finite_data_and_bad_tolerances(bad):
 
 
 def test_rtol_floor_is_accepted():
-    # the smallest rtol that scipy's solve_ivp honours without raising it
+    # laxlab's own floor, 100 machine epsilons, is itself accepted
     problem = ODEProblem("pii", rtol=numeric.RTOL_FLOOR)
     assert problem.rtol == 100 * np.finfo(float).eps
 
