@@ -23,6 +23,24 @@ entrywise, which is the scalar image of the anticommutator (1/2)*[z, u]_+.
 The ``p34`` alpha has the sign opposite to the one in
 ``pii-classical-derived`` (u'' = 2*u^3 + z*u + alpha).
 
+At n = 1, the scalar flows, the right-hand side runs on Python ``complex``
+numbers instead of 1 x 1 arrays: there each numpy call costs far more
+than its one flop, and the solver calls the right-hand side thousands of
+times.  It rounds exactly as numpy rounds the 1 x 1 arrays, so both paths
+give the same bits and the same CSV:
+
+* the state is packed as numpy packs ``y[:m] + 1j*y[m:]``, with complex
+  operands: ``complex(re, 0.0) + 1j * complex(im, 0.0)``;
+* a 1 x 1 ``@`` is ``0j + a*b``, because numpy's small-matmul sum starts
+  at +0, which fixes the signed zeros;
+* real scalars enter as complex operands: ``(2+0j) * x`` and
+  ``complex(z, 0.0) * u``;
+* ``x / 3.0`` is numpy's Smith division by 3+0j, a product with 1/3, not
+  Python's ``/``, which rounds differently.
+
+Every operation is complex by complex: Python 3.14 changed mixed
+float/complex arithmetic, which moves signed zeros.
+
 The integrator is DOP853 from ``_dop853``, a numpy-only port.
 """
 
@@ -122,6 +140,8 @@ class ODEProblem:
         if float(self.rtol) < RTOL_FLOOR:
             raise NumericError(f"rtol must be at least {RTOL_FLOOR:.3g}")
         self.alpha = complex(self.alpha)
+        if self.rhs == "dpii3" and self.alpha:
+            raise NumericError("dpii3 takes no alpha")
         self.u0 = _as_matrix(self.u0, self.n, "u0")
         self.du0 = _as_matrix(self.du0, self.n, "du0")
         if self.rhs == "dpii3":
@@ -156,6 +176,21 @@ def _third_rhs(z, u: np.ndarray, du: np.ndarray) -> np.ndarray:
 
 
 def _flow(problem: ODEProblem):
+    """The right-hand side ``f(z, y)`` of the real first-order system: y
+    holds the real parts of the blocks (u, u', ...) and then their
+    imaginary parts, and ``f`` returns the derivative in the same layout.
+
+    At n = 1 the closure runs on Python ``complex`` numbers, because a
+    numpy call on a 1 x 1 array costs far more than its one flop.  It
+    keeps numpy's rounding, so both paths return the same bits: complex
+    packing, ``0j + a*b`` for ``@``, complex operands for real scalars and
+    Smith's division by 3+0j (see the module docstring)."""
+    if problem.n == 1:
+        return _scalar_flow(problem)
+    return _matrix_flow(problem)
+
+
+def _matrix_flow(problem: ODEProblem):
     n, depth = problem.n, problem.depth
     nn = n * n
     m = depth * nn
@@ -175,6 +210,56 @@ def _flow(problem: ODEProblem):
         out[:m] = c.real
         out[m:] = c.imag
         return out
+
+    return f
+
+
+_ZERO = complex(0.0, 0.0)
+_I = complex(0.0, 1.0)
+_TWO = complex(2.0, 0.0)
+_THIRD = 1.0 / 3.0
+
+
+def _div3(x: complex) -> complex:
+    """``x / 3`` as numpy divides by 3+0j: Smith's form, a product with
+    1/3.  Python's ``/`` rounds differently."""
+    return complex((x.real + x.imag * 0.0) * _THIRD,
+                   (x.imag - x.real * 0.0) * _THIRD)
+
+
+def _scalar_flow(problem: ODEProblem):
+    """``_matrix_flow`` at n = 1 on Python complex numbers, bit for bit;
+    ``_ZERO + a * b`` is a 1 x 1 ``@``."""
+    if problem.depth == 3:
+        def f(z, y):
+            ur, dr, ddr, ui, di, ddi = y.tolist()
+            u = complex(ur, 0.0) + _I * complex(ui, 0.0)
+            du = complex(dr, 0.0) + _I * complex(di, 0.0)
+            ddu = complex(ddr, 0.0) + _I * complex(ddi, 0.0)
+            spread = ((_ZERO + (_ZERO + du * u) * u)
+                      + (_ZERO + (_ZERO + u * du) * u)
+                      + (_ZERO + (_ZERO + u * u) * du))
+            top = (_TWO * spread - _div3(u)
+                   - _div3(complex(float(z), 0.0) * du))
+            return np.array((du.real, ddu.real, top.real,
+                             du.imag, ddu.imag, top.imag))
+
+        return f
+
+    p34 = problem.rhs == "p34"
+    alpha = complex(problem.alpha_eye[0, 0])
+
+    def f(z, y):
+        ur, dr, ui, di = y.tolist()
+        u = complex(ur, 0.0) + _I * complex(ui, 0.0)
+        du = complex(dr, 0.0) + _I * complex(di, 0.0)
+        cube = _ZERO + (_ZERO + u * u) * u
+        zu = complex(float(z), 0.0) * u
+        if p34:
+            top = _TWO * cube + zu - alpha
+        else:
+            top = _TWO * cube - zu + alpha
+        return np.array((du.real, top.real, du.imag, top.imag))
 
     return f
 

@@ -306,6 +306,9 @@ def test_integrate_validation_exits_two(capsys):
     assert code == 2
     code, _, err = run_cli(["integrate", "dpii3"], capsys)
     assert code == 2 and "u''" in err
+    code, out, err = run_cli(
+        ["integrate", "dpii3", "--alpha", "5", "--ddu0", "0.1"], capsys)
+    assert code == 2 and out == "" and err == "error: dpii3 takes no alpha\n"
     code, out, err = run_cli(["integrate", "pii", "--u0=nanj"], capsys)
     assert code == 2 and out == "" and "error:" in err
     code, out, err = run_cli(

@@ -82,8 +82,9 @@ def _random_matrix(rng, n, scale=0.3):
 
 def _seeded_problem(rhs, n, grid, z0, z1, seed):
     rng = random.Random(f"dop853:{rhs}:{n}:{grid}:{seed}")
+    alpha = rng.uniform(-0.5, 0.5)
     return ODEProblem(
-        rhs, alpha=rng.uniform(-0.5, 0.5), n=n, z0=z0, z1=z1,
+        rhs, alpha=0.0 if rhs == "dpii3" else alpha, n=n, z0=z0, z1=z1,
         u0=_random_matrix(rng, n), du0=_random_matrix(rng, n),
         ddu0=_random_matrix(rng, n) if rhs == "dpii3" else None,
         grid_points=grid,

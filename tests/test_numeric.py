@@ -3,11 +3,13 @@ tolerance behavior, matrix flows, pole handling, CSV export."""
 
 import csv
 import io
+import itertools
 
 import numpy as np
 import pytest
 
-from laxlab import numeric
+from laxlab import _dop853, catalog, numeric
+from laxlab.ncexpr import parse
 from laxlab.numeric import (
     NumericError,
     ODEProblem,
@@ -88,7 +90,8 @@ def test_tolerance_tightening_monotone_within_factor_two():
 def test_matrix_flow_n1_equals_scalar_flow():
     a = integrate(ODEProblem("pii", alpha=1.0, u0=1.0, du0=-1.0))
     b = integrate(ODEProblem("matrix-pii", alpha=1.0, n=1, u0=1.0, du0=-1.0))
-    assert np.max(np.abs(a.states - b.states)) < 1e-12
+    assert a.states.tobytes() == b.states.tobytes()
+    assert a.to_csv() == b.to_csv()
 
 
 def test_reverse_integration_returns_to_start():
@@ -141,6 +144,10 @@ def test_problem_validation():
         ODEProblem("pii", ddu0=0.1)
     with pytest.raises(NumericError):
         ODEProblem("dpii3")  # needs ddu0
+    with pytest.raises(NumericError, match="dpii3 takes no alpha"):
+        ODEProblem("dpii3", alpha=5, ddu0=0.1)
+    for zero in (0.0, -0.0, 0j):
+        assert ODEProblem("dpii3", alpha=zero, ddu0=0.1).alpha == 0
 
 
 @pytest.mark.parametrize("bad", [
@@ -269,6 +276,13 @@ def _generic(n, seed, scale=0.3):
                     + 1j * rng.uniform(-1, 1, (n, n)))
 
 
+def _flow_extra(rhs, n, alpha):
+    """The alpha, or for dpii3, which has none, the initial u''."""
+    if rhs == "dpii3":
+        return {"ddu0": _generic(n, 3, 0.2)}
+    return {"alpha": alpha}
+
+
 @pytest.mark.parametrize("weights,order", [
     (numeric._W7_D1, 1), (numeric._W7_D2, 2),
     (numeric._W9_D1, 1), (numeric._W9_D3, 3),
@@ -303,10 +317,9 @@ def test_stencil_matches_point_by_point(weights, order, g, n, grid_fastest):
 def test_fd_residual_matches_point_by_point(rhs, n, grid_points):
     # On the coarse grids the solver steps less than one grid spacing and
     # returns the samples with the grid points adjacent in memory.
-    extra = {"ddu0": _generic(n, 3, 0.2)} if rhs == "dpii3" else {}
-    problem = ODEProblem(rhs, alpha=0.4 - 0.1j, n=n, z0=1.0, z1=3.0,
-                         u0=_generic(n, 1), du0=_generic(n, 2),
-                         grid_points=grid_points, **extra)
+    problem = ODEProblem(rhs, n=n, z0=1.0, z1=3.0, u0=_generic(n, 1),
+                         du0=_generic(n, 2), grid_points=grid_points,
+                         **_flow_extra(rhs, n, 0.4 - 0.1j))
     tr = integrate(problem)
     want = _ref_fd_residual(problem, tr.grid, tr.states)
     assert np.array_equal(tr.fd_residual, want, equal_nan=True)
@@ -336,10 +349,9 @@ def _ref_csv_rows(tr) -> str:
 ])
 @pytest.mark.parametrize("grid_points", [161, 10, 9])
 def test_csv_rows_match_per_value_formatting(rhs, n, grid_points):
-    extra = {"ddu0": _generic(n, 3, 0.2)} if rhs == "dpii3" else {}
-    problem = ODEProblem(rhs, alpha=0.4 - 0.1j, n=n, z0=1.0, z1=3.0,
-                         u0=_generic(n, 1), du0=_generic(n, 2),
-                         grid_points=grid_points, **extra)
+    problem = ODEProblem(rhs, n=n, z0=1.0, z1=3.0, u0=_generic(n, 1),
+                         du0=_generic(n, 2), grid_points=grid_points,
+                         **_flow_extra(rhs, n, 0.4 - 0.1j))
     tr = integrate(problem)
     assert np.isnan(tr.fd_residual).any()  # rows with an empty cell
     _, _, rows = tr.to_csv().partition("\n")
@@ -384,23 +396,187 @@ def test_dpii_first_integral_matches_point_by_point(n):
     assert result["drift"] == float(np.max(np.abs(vals - vals[0])))
 
 
+def _ref_flow(problem, z, y):
+    """The flow's derivative vector from the stacked numpy right-hand
+    side."""
+    n, depth = problem.n, problem.depth
+    m = depth * n * n
+    blocks = (y[:m] + 1j * y[m:]).reshape(depth, n, n)
+    if depth == 2:
+        top = _ref_second_rhs(problem.rhs, z, blocks[0], problem.alpha, n)
+    else:
+        top = _ref_third_rhs(z, blocks[0], blocks[1])
+    flat = np.stack([*blocks[1:], top]).reshape(m)
+    return np.concatenate([flat.real, flat.imag])
+
+
 @pytest.mark.parametrize("rhs,n", [
-    ("pii", 1), ("p34", 1), ("matrix-pii", 2), ("matrix-pii", 3),
-    ("dpii3", 1), ("dpii3", 2),
+    ("pii", 1), ("p34", 1), ("matrix-pii", 1), ("matrix-pii", 2),
+    ("matrix-pii", 3), ("dpii3", 1), ("dpii3", 2),
 ])
 def test_flow_matches_stacked_right_hand_side(rhs, n):
-    extra = {"ddu0": 0.1} if rhs == "dpii3" else {}
-    problem = ODEProblem(rhs, alpha=0.3 + 0.2j, n=n, **extra)
-    depth, m = problem.depth, problem.depth * n * n
+    # bytes, not values: -0.0 == 0.0, but the two print differently
+    problem = ODEProblem(rhs, n=n, **_flow_extra(rhs, n, 0.3 + 0.2j))
     f = numeric._flow(problem)
     rng = np.random.default_rng(n)
     for z in (1.0, 2.7, -0.4):
-        y = rng.uniform(-1, 1, 2 * m)
-        blocks = (y[:m] + 1j * y[m:]).reshape(depth, n, n)
-        if depth == 2:
-            top = _ref_second_rhs(rhs, z, blocks[0], problem.alpha, n)
-        else:
-            top = _ref_third_rhs(z, blocks[0], blocks[1])
-        flat = np.stack([*blocks[1:], top]).reshape(m)
-        want = np.concatenate([flat.real, flat.imag])
-        assert np.array_equal(f(z, y), want)
+        y = rng.uniform(-1, 1, 2 * problem.depth * n * n)
+        assert f(z, y).tobytes() == _ref_flow(problem, z, y).tobytes()
+
+
+def _scalar_states(depth, rng):
+    """n = 1 states: every slot +0, -0 or a random value of either sign
+    (so all-zero and purely real states among them), and |u| near 1e4 and
+    1e8."""
+    noise = rng.uniform(0.1, 1, 2 * depth)
+    for pick in itertools.product(range(4), repeat=2 * depth):
+        yield np.array([(0.0, -0.0, v, -v)[k] for k, v in zip(pick, noise)])
+    for scale in (1e4, 1e8):
+        for sign_re, sign_im in itertools.product((1, -1), repeat=2):
+            y = rng.uniform(-1, 1, 2 * depth)
+            y[0] = sign_re * scale * (0.8 + 1e-3 * y[0])
+            y[depth] = sign_im * scale * (0.6 + 1e-3 * y[depth])
+            yield y
+
+
+_SCALAR_ZS = (0.0, -0.0, -0.4, -3.25, 1.0, 2.7)
+
+
+@pytest.mark.parametrize("rhs,alpha", [
+    ("pii", 0.3 + 0.2j), ("pii", 0.0), ("pii", -0.0), ("p34", -0.7 + 0.1j),
+    ("p34", 0.0), ("p34", -0.0), ("matrix-pii", 0.5 - 0.25j),
+    ("matrix-pii", complex(-0.0, 0.2)), ("dpii3", 0.0),
+])
+def test_scalar_flow_matches_numpy_bitwise(rhs, alpha):
+    # The n = 1 path computes on Python complex numbers; every slot of the
+    # state and of the derivative keeps numpy's bits, signed zeros too.
+    extra = {"ddu0": 0.1} if rhs == "dpii3" else {}
+    problem = ODEProblem(rhs, alpha=alpha, **extra)
+    f = numeric._flow(problem)
+    rng = np.random.default_rng(7)
+    for y in _scalar_states(problem.depth, rng):
+        for z in _SCALAR_ZS:
+            for zz in (z, np.float64(z)):
+                got = f(zz, y)
+                assert got.tobytes() == _ref_flow(problem, zz, y).tobytes(), (
+                    f"z = {zz!r}, y = {y.tolist()}")
+
+
+def _integrate_with_nfev(problem, monkeypatch):
+    """The CSV, or the PoleEncountered text, and the solver's ``nfev``."""
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(_dop853.solve_ivp(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(numeric, "solve_ivp", recording)
+    try:
+        out = integrate(problem).to_csv()
+    except PoleEncountered as exc:
+        out = f"PoleEncountered: {exc}"
+    (result,) = results
+    return out, result.nfev
+
+
+@pytest.mark.parametrize("problem", [
+    ODEProblem("pii", alpha=0.3, z0=1.0, z1=3.0, u0=0.2 + 0.1j, du0=-0.1),
+    ODEProblem("pii", alpha=-0.25, z0=5.0, z1=1.0, u0=0.1, du0=0.05j,
+               grid_points=41),
+    ODEProblem("pii", z0=-2.0, z1=2.0, u0=-0.0, du0=complex(-0.0, -0.0)),
+    ODEProblem("p34", alpha=0.4, z0=1.0, z1=2.0, u0=0.1 - 0.2j, du0=0.3),
+    ODEProblem("p34", alpha=0.7, u0=0.3, du0=-0.2, z0=1.0, z1=5.0),
+    ODEProblem("p34", z0=3.0, z1=1.0, u0=0.0, du0=0.0, grid_points=9),
+    ODEProblem("matrix-pii", alpha=1.0, u0=1.0, du0=-1.0),
+    ODEProblem("matrix-pii", alpha=0.1j, z0=3.0, z1=1.0, u0=0.2, du0=0.1),
+    ODEProblem("dpii3", z0=1.0, z1=3.0, u0=0.3 + 0.1j, du0=-0.2,
+               ddu0=0.05),
+    ODEProblem("dpii3", z0=2.0, z1=-2.0, u0=0.1, du0=-0.0, ddu0=0.0,
+               grid_points=41),
+    ODEProblem("dpii3", u0=1.0, du0=1.0, ddu0=1.0, grid_points=41),
+], ids=["pii", "pii-reverse", "pii-minus-zero", "p34", "p34-pole",
+        "p34-reverse-zero", "matrix-pii", "matrix-pii-reverse", "dpii3",
+        "dpii3-reverse", "dpii3-pole"])
+def test_scalar_flow_integrates_as_the_numpy_flow(problem, monkeypatch):
+    # The whole run, step control and event included, through the n = 1
+    # path and through the numpy closure it replaces: the same CSV bytes or
+    # pole text, after the same number of right-hand-side evaluations.
+    fast = _integrate_with_nfev(problem, monkeypatch)
+    monkeypatch.setattr(numeric, "_flow", numeric._matrix_flow)
+    assert _integrate_with_nfev(problem, monkeypatch) == fast
+
+
+# ---------------------------------------------------------------------------
+# the flows satisfy the catalog entries they integrate
+# ---------------------------------------------------------------------------
+def _evaluate(expr, values, z, alpha):
+    """``expr`` as a numpy matrix, and the sum of its terms' sizes: a word
+    is the ordered product of ``values[(gen, order)]``, z and alpha are
+    scalars.  A term in lam or hbar, or an inverse, has no value here."""
+    n = next(iter(values.values())).shape[0]
+    total = np.zeros((n, n), dtype=complex)
+    size = 0.0
+    for word, coeff in expr.terms.items():
+        c = 0j
+        for (lam, hbar, power), q in coeff.terms.items():
+            if lam or hbar:
+                raise ValueError(f"{expr}: a term in lam or hbar")
+            c += complex(q.a, q.b) / q.d * alpha ** power
+        term = c * np.eye(n, dtype=complex)
+        for atom in word:
+            if atom.inv:
+                raise ValueError(f"{expr}: an inverse atom")
+            if atom == ("z", 0, False):
+                term = z * term
+            else:
+                term = term @ values[atom.gen, atom.order]
+        total += term
+        size += np.max(np.abs(term))
+    return total, size
+
+
+# each flow: the catalog key it integrates, and the sign with which the
+# flow's alpha enters that key's alpha
+_FLOW_ENTRIES = {
+    "pii": ("pii-classical", 1),
+    "matrix-pii": ("matrix-pii-target", 1),
+    "p34": ("pii-classical-derived", -1),
+    "dpii3": ("dpii-scalar", 1),
+}
+
+
+@pytest.mark.parametrize("rhs,n", [
+    *((rhs, n) for rhs in ("pii", "matrix-pii", "p34") for n in (1, 2, 3)),
+    ("dpii3", 1),
+])
+def test_flow_satisfies_its_catalog_entry(rhs, n):
+    key, sign = _FLOW_ENTRIES[rhs]
+    lhs = catalog.build(key).lhs
+    rng = np.random.default_rng(10 * n + len(rhs))
+    for _ in range(5):
+        alpha = complex(*rng.uniform(-1, 1, 2))
+        problem = ODEProblem(rhs, n=n, **_flow_extra(rhs, n, alpha))
+        depth = problem.depth
+        blocks = (rng.uniform(-1, 1, (depth, n, n))
+                  + 1j * rng.uniform(-1, 1, (depth, n, n)))
+        z = rng.uniform(-3, 3)
+        flat = blocks.reshape(-1)
+        dy = numeric._flow(problem)(z, np.concatenate([flat.real, flat.imag]))
+        top = (dy[:flat.size] + 1j * dy[flat.size:]).reshape(depth, n, n)[-1]
+        values = {("u", k): b for k, b in enumerate(blocks)}
+        values["u", depth] = top
+        residual, size = _evaluate(lhs, values, z, sign * problem.alpha)
+        assert np.max(np.abs(residual)) <= 1e-12 * size
+        if problem.alpha:
+            # the other sign of alpha is not the flow's equation
+            residual, size = _evaluate(lhs, values, z, -sign * problem.alpha)
+            assert np.max(np.abs(residual)) > 1e-6 * size
+
+
+def test_catalog_evaluator_rejects_lam_and_hbar():
+    values = {("u", 0): np.eye(2, dtype=complex)}
+    residual, size = _evaluate(parse("2*z*u - alpha"), values, 0.5, 1.0)
+    assert not residual.any() and size == 2.0
+    for text in ("hbar*u", "lam*u", "lam^-1", "q^-1"):
+        with pytest.raises(ValueError):
+            _evaluate(parse(text), values, 0.5, 1.0)
