@@ -17,6 +17,12 @@ the event time agree with SciPy's bit for bit.  Only what ``numeric`` calls
 is kept: one method, output on a ``t_eval`` grid and one terminal event, on
 inputs that ``numeric.ODEProblem`` has already checked.
 
+One departure: a step size that is NaN (the starting step of a state whose
+derivative overflows) ends the integration with status -1, as a step
+below the minimum does; SciPy's ``h_abs < min_step`` test is false for NaN,
+so its rejection loop never ends.  On every finite step size the two
+agree.
+
 SciPy's licence, which covers this port:
 
     Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
@@ -373,7 +379,7 @@ class _Dop853:
         h_abs = max(self.h_abs, min_step)
         step_rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # a NaN step size stalls too
                 return False
             h = h_abs * self.direction
             t_new = t + h

@@ -22,7 +22,8 @@ exhausted memory or closed output pipe, 2 on usage errors (unknown
 selectors are rejected before any computation runs).  Identical
 invocations are byte-deterministic in json mode.  The
 ``LAXLAB_PASS_BUDGET`` environment variable overrides the rewrite pass
-budget of every rule-set application.
+budget of every rule-set application; a value that is not a positive
+integer is a usage error of every command.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .ncexpr import (
     NCExpr,
     builtin_ruleset,
     combine_rulesets,
+    env_pass_budget,
     normalize,
     parse as parse_expr,
 )
@@ -439,6 +441,11 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     if not hasattr(args, "func"):
         parser.print_help()
+        return 2
+    try:
+        env_pass_budget()
+    except LaxlabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         if _builds_catalog(args):

@@ -60,6 +60,7 @@ __all__ = [
     "BUILTIN_RULESET_NAMES",
     "DEFAULT_PASS_BUDGET",
     "PASS_BUDGET_ENV",
+    "env_pass_budget",
     "DERIVATIVE_TOWER_ORDER",
 ]
 
@@ -1213,7 +1214,7 @@ class Rule:
 
 
 class RuleSet:
-    """A named, ordered list of rewrite rules with an application budget.
+    """A named, ordered list of rewrite rules.
 
     Rules are applied leftmost-first: positions are scanned left to right
     and at each position the first matching rule (in registration order)
@@ -1224,17 +1225,9 @@ class RuleSet:
     default budget with the input.
     """
 
-    def __init__(
-        self,
-        name: str,
-        rules: Iterable[Rule],
-        max_passes: int = DEFAULT_PASS_BUDGET,
-    ):
-        if max_passes <= 0:
-            raise RuleError("the pass budget must be positive")
+    def __init__(self, name: str, rules: Iterable[Rule]):
         self.name = name
         self.rules = tuple(rules)
-        self.max_passes = max_passes
         self.decreasing = all(rule.decreasing for rule in self.rules)
         table: dict[tuple[Atom, Atom], Rule] = {}
         for rule in self.rules:
@@ -1256,32 +1249,28 @@ class RuleSet:
 def combine_rulesets(name: str, *rulesets: RuleSet) -> RuleSet:
     if not rulesets:
         raise RuleError("no rule sets to combine")
-    rules = [rule for rs in rulesets for rule in rs.rules]
-    budget = max(rs.max_passes for rs in rulesets)
-    return RuleSet(name, rules, budget)
+    return RuleSet(name, [rule for rs in rulesets for rule in rs.rules])
 
 
-def _resolve_budget(rules: RuleSet, budget: int | None, e: NCExpr) -> int:
-    if budget is not None:
-        return budget
+def env_pass_budget() -> int | None:
+    """The pass budget that the LAXLAB_PASS_BUDGET environment variable
+    sets, or ``None`` when it is unset; a value that is not a positive
+    integer raises :class:`LaxlabError`."""
     env = os.environ.get(PASS_BUDGET_ENV)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise LaxlabError(
-                f"{PASS_BUDGET_ENV} must be an integer, got {env!r}"
-            ) from None
-        if value <= 0:
-            raise LaxlabError(f"{PASS_BUDGET_ENV} must be positive, got {value}")
-        return value
-    if rules.decreasing:
-        degree = max(map(len, e.terms), default=0)
-        return max(rules.max_passes, len(e.terms) * degree * degree)
-    return rules.max_passes
+    if env is None:
+        return None
+    try:
+        value = int(env)
+    except ValueError:
+        raise LaxlabError(
+            f"{PASS_BUDGET_ENV} must be an integer, got {env!r}"
+        ) from None
+    if value <= 0:
+        raise LaxlabError(f"{PASS_BUDGET_ENV} must be positive, got {value}")
+    return value
 
 
-def normalize(e: NCExpr, rules: RuleSet | None, budget: int | None = None) -> NCExpr:
+def normalize(e: NCExpr, rules: RuleSet | None) -> NCExpr:
     """Rewrite to a normal form in which no rule pattern occurs.
 
     Deterministic: pending words are processed smallest-first in the
@@ -1290,15 +1279,19 @@ def normalize(e: NCExpr, rules: RuleSet | None, budget: int | None = None) -> NC
     rewritten word's from the key of the word it came from), and since the
     key is injective the words pop in exactly the order of a
     smallest-word scan over the pending map.  Every rule application counts
-    against the budget (explicit argument, then the LAXLAB_PASS_BUDGET
-    environment variable, then the rule set's own maximum, which for a
-    decreasing rule set is raised to terms x degree^2 of the input);
-    exhausting it raises :class:`PassBudgetExhausted` rather than looping
-    forever.
+    against the budget: :func:`env_pass_budget` when the variable is set,
+    else :data:`DEFAULT_PASS_BUDGET`, which for a decreasing rule set is
+    raised to terms x degree^2 of the input.  Exhausting it raises
+    :class:`PassBudgetExhausted` rather than looping forever.
     """
     if rules is None:
         return e
-    limit = _resolve_budget(rules, budget, e)
+    limit = env_pass_budget()
+    if limit is None:
+        limit = DEFAULT_PASS_BUDGET
+        if rules.decreasing:
+            degree = max(map(len, e.terms), default=0)
+            limit = max(limit, len(e.terms) * degree * degree)
 
     pending: dict[tuple, Scalar] = dict(e.terms)
     heap = [(_word_key(w), w) for w in pending]

@@ -50,7 +50,7 @@ import cmath
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -106,7 +106,10 @@ def _as_matrix(value, n: int, name: str) -> np.ndarray:
 @dataclass
 class ODEProblem:
     """One initial-value problem.  Scalars passed for u0/du0/ddu0 are
-    promoted to multiples of the identity."""
+    promoted to multiples of the identity.  ``grid`` holds the
+    ``grid_points`` output points from z0 to z1, which must be strictly
+    monotone.  Raises ``MemoryError`` when an array of the problem's size
+    cannot be allocated."""
 
     rhs: str
     alpha: complex = 0.0
@@ -119,6 +122,7 @@ class ODEProblem:
     rtol: float = DEFAULT_RTOL
     atol: float = DEFAULT_ATOL
     grid_points: int = DEFAULT_GRID
+    grid: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rhs not in RHS_IDS:
@@ -150,6 +154,22 @@ class ODEProblem:
             self.ddu0 = _as_matrix(self.ddu0, self.n, "ddu0")
         elif self.ddu0 is not None:
             raise NumericError(f"{self.rhs} takes no initial u''")
+        try:
+            with np.errstate(all="ignore"):
+                self.grid = np.linspace(float(self.z0), float(self.z1),
+                                        self.grid_points)
+                steps = np.diff(self.grid)
+        except ValueError:  # numpy's size overflowed: no allocation tried
+            raise MemoryError(
+                f"a grid of {self.grid_points} points is too large to "
+                "allocate"
+            ) from None
+        if not (np.all(steps > 0) or np.all(steps < 0)):
+            raise NumericError(
+                f"{self.grid_points} grid points from z0 = {self.z0!r} to "
+                f"z1 = {self.z1!r} are not strictly monotone: the span is "
+                "too short or too wide"
+            )
 
     @property
     def depth(self) -> int:
@@ -283,15 +303,21 @@ def _pack(problem: ODEProblem) -> np.ndarray:
     return np.concatenate([flat.real, flat.imag])
 
 
-def _solve(problem: ODEProblem, grid: np.ndarray) -> np.ndarray:
+def _solve(problem: ODEProblem) -> np.ndarray:
+    grid = problem.grid
+    z0, y0, event = float(problem.z0), _pack(problem), _pole_event(problem)
+    if event(z0, y0) <= 0:
+        raise PoleEncountered(
+            f"|u| exceeded {POLE_THRESHOLD:g} near z = {z0:.6g}"
+        )
     sol = solve_ivp(
         _flow(problem),
-        (float(problem.z0), float(problem.z1)),
-        _pack(problem),
+        (z0, float(problem.z1)),
+        y0,
         t_eval=grid,
         rtol=problem.rtol,
         atol=problem.atol,
-        event=_pole_event(problem),
+        event=event,
     )
     if sol.status == 1:
         where = sol.t_events[0][0]
@@ -415,31 +441,26 @@ class Trajectory:
 
 
 def integrate(problem: ODEProblem) -> Trajectory:
-    """Raises ``MemoryError`` when an array of the problem's size cannot be
-    allocated."""
-    try:
-        grid = np.linspace(float(problem.z0), float(problem.z1),
-                           problem.grid_points)
-    except ValueError:  # numpy's size overflowed: no allocation tried
-        raise MemoryError(
-            f"a grid of {problem.grid_points} points is too large to allocate"
-        ) from None
-    states = _solve(problem, grid)
-    return Trajectory(problem, grid, states,
-                      _fd_residual(problem, grid, states))
+    """Solve ``problem`` on its grid and audit the samples.  Overflow on
+    the way (data near a pole) ends in :class:`PoleEncountered` or in an
+    inf or NaN residual, never in a numpy warning."""
+    grid = problem.grid
+    with np.errstate(all="ignore"):
+        states = _solve(problem)
+        return Trajectory(problem, grid, states,
+                          _fd_residual(problem, grid, states))
 
 
-def p34_map_check(alpha, ic, span=(1.0, 2.5), rtol=1e-12,
-                  atol=1e-14, grid_points=121, rhs="p34") -> dict:
-    """Integrate the scalar flow, push the trajectory through
-    p = u^2 + u' + z/2, and test which second-order p-equation the image
-    satisfies: the (alpha - 1/2)^2 pairing (q side) or the
-    (alpha + 1/2)^2 pairing (r side).  Exactly one must hold unless the
-    two coefficients coincide."""
+def p34_map_check(alpha, ic, rhs="p34") -> dict:
+    """Integrate the scalar flow ``rhs`` from ``ic`` = (u0, u0') over
+    z in [1, 2.5] (121 points, rtol 1e-12, atol 1e-14), push the
+    trajectory through p = u^2 + u' + z/2, and test which second-order
+    p-equation the image satisfies: the (alpha - 1/2)^2 pairing (q side)
+    or the (alpha + 1/2)^2 pairing (r side).  Exactly one must hold
+    unless the two coefficients coincide."""
     u0, du0 = ic
-    problem = ODEProblem(rhs, alpha=alpha, n=1, z0=span[0], z1=span[1],
-                         u0=u0, du0=du0, rtol=rtol, atol=atol,
-                         grid_points=grid_points)
+    problem = ODEProblem(rhs, alpha=alpha, z0=1.0, z1=2.5, u0=u0, du0=du0,
+                         rtol=1e-12, atol=1e-14, grid_points=121)
     tr = integrate(problem)
     z = tr.grid
     u = tr.u[:, 0, 0]
@@ -485,15 +506,14 @@ def p34_map_check(alpha, ic, span=(1.0, 2.5), rtol=1e-12,
     return result
 
 
-def dpii_first_integral_check(ic, span=(1.0, 4.0), n=1, rtol=DEFAULT_RTOL,
-                              atol=DEFAULT_ATOL,
-                              grid_points=DEFAULT_GRID) -> dict:
-    """Integrate the third-order flow and report the drift of its first
-    integral u'' - 2*u^3 + z*u/3 along the trajectory."""
+def dpii_first_integral_check(ic) -> dict:
+    """Integrate the scalar third-order flow from ``ic`` = (u0, u0', u0'')
+    over z in [1, 4] at the default tolerances and grid, and report the
+    drift of its first integral u'' - 2*u^3 + z*u/3 along the
+    trajectory."""
     u0, du0, ddu0 = ic
-    problem = ODEProblem("dpii3", n=n, z0=span[0], z1=span[1], u0=u0,
-                         du0=du0, ddu0=ddu0, rtol=rtol, atol=atol,
-                         grid_points=grid_points)
+    problem = ODEProblem("dpii3", z0=1.0, z1=4.0, u0=u0, du0=du0,
+                         ddu0=ddu0)
     tr = integrate(problem)
     z = tr.grid
     u = tr.u

@@ -169,10 +169,9 @@ class _Run:
 
         Without ``expected`` the two must be equal.  With ``expected`` the
         comparison is documented NOT to close: the difference ``a - b``
-        must equal the independently frozen ``expected`` value, up to
-        overall scale for expressions, literally and nonzero for matrices.
-        ``canonical`` first divides each expression by its canonical
-        scale."""
+        must equal the independently frozen ``expected`` value exactly,
+        and for matrices ``expected`` must be nonzero.  ``canonical``
+        first divides each expression by its canonical scale."""
         is_mat = isinstance(a, Mat2)
         show = _mat_str if is_mat else str
         if canonical:
@@ -182,10 +181,7 @@ class _Run:
             difference = "0" if ok else f"MISMATCH: {show(a - b)}"
         else:
             diff = a - b
-            if is_mat:
-                ok = diff == expected and not expected.is_zero
-            else:
-                ok = diff.canonical() == expected.canonical()
+            ok = diff == expected and not (is_mat and expected.is_zero)
             difference = (show(diff) if ok else
                           f"MISMATCH: expected {show(expected)}, "
                           f"got {show(diff)}")

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -276,6 +277,24 @@ def test_reduce_key_failure_prints_one_error_line(monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value, problem", [
+    ("abc", "an integer, got 'abc'"),
+    ("0", "positive, got 0"),
+    ("-3", "positive, got -3"),
+])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--case", "qp34-chain"],
+    ["reduce", "--expr", "v*z", "--rules", "quantum-zv"],
+    ["reduce", "--expr", "u"],
+], ids=["verify", "reduce-rules", "reduce-plain"])
+def test_malformed_pass_budget_exits_two(argv, value, problem, monkeypatch,
+                                         capsys):
+    monkeypatch.setenv("LAXLAB_PASS_BUDGET", value)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: LAXLAB_PASS_BUDGET must be {problem}\n"
+
+
 def test_reduce_pair_prints_both_members(capsys):
     code, out, _ = run_cli(["reduce", "fn-pair", "--v-du"], capsys)
     assert code == 0
@@ -314,6 +333,14 @@ def test_integrate_validation_exits_two(capsys):
     code, out, err = run_cli(
         ["integrate", "pii", "--rtol=1e-20", "--u0=0.3", "--du0=0.1"], capsys)
     assert code == 2 and out == "" and "error:" in err and "rtol" in err
+    for z0, z1 in (("1", "1.0000000000000002"), ("-1e308", "1e308")):
+        code, out, err = run_cli(
+            ["integrate", "pii", f"--z0={z0}", f"--z1={z1}", "--grid", "9"],
+            capsys)
+        assert code == 2 and out == ""
+        assert err == (f"error: 9 grid points from z0 = {float(z0)!r} to "
+                       f"z1 = {float(z1)!r} are not strictly monotone: the "
+                       "span is too short or too wide\n")
 
 
 def test_integrate_pole_exits_one(capsys):
@@ -449,6 +476,42 @@ def test_closed_stdout_pipe_exits_1_without_traceback():
         os.close(write_end)
     assert child.returncode == 1
     assert "Traceback" not in child.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["--u0", "1e8"],
+    ["--u0", "1e9"],
+    ["--u0", "1e160"],
+    ["--u0", "1e9j", "--n", "2"],
+])
+def test_integrate_from_the_pole_exits_one_at_once(argv):
+    # --u0 1e160 used to hang in the stepper: a child with a timeout
+    child = subprocess.run(
+        [sys.executable, "-m", "laxlab.cli", "integrate", "pii", *argv],
+        capture_output=True, text=True, timeout=60, env=_child_env(),
+    )
+    assert child.returncode == 1 and child.stdout == ""
+    assert child.stderr == "error: |u| exceeded 1e+08 near z = 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--du0", "1e300"],
+    ["--z0=-1e308", "--z1=1e308"],
+], ids=["overflow", "wide-span"])
+def test_integrate_prints_no_numpy_warning(argv, capsys):
+    # every warning is an error here: pytest would capture it otherwise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["integrate", "pii", *argv], capsys)
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert code == (1 if argv[0] == "--du0" else 2)
+
+
+def test_integrate_overflow_reports_a_stall(capsys):
+    code, out, err = run_cli(["integrate", "pii", "--du0", "1e300"], capsys)
+    assert code == 1 and out == ""
+    assert err == ("error: integration stalled: Required step size is less "
+                   "than spacing between numbers.\n")
 
 
 def _modules_after(code: str) -> set:

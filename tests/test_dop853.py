@@ -10,11 +10,15 @@ its last digits go through the host's BLAS.
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import laxlab
 from laxlab import _dop853, numeric
 from laxlab.numeric import ODEProblem, PoleEncountered
 
@@ -163,6 +167,27 @@ def test_collapsing_step_is_scipys(scipy_solve_ivp, monkeypatch):
     problem = ODEProblem("matrix-pii", n=2, u0=0.1, du0=0.1, z1=3.0)
     out = _assert_same_as_scipy(problem, scipy_solve_ivp, monkeypatch)
     assert out == f"PoleEncountered: {STALLED}"
+
+
+def test_nan_step_size_stalls():
+    # A derivative that is NaN from the start makes the starting step NaN.
+    # SciPy's rejection loop never ends on it, so the run is a child
+    # process with a timeout: a regression fails instead of hanging.
+    code = (
+        "import numpy as np\n"
+        "from laxlab._dop853 import solve_ivp\n"
+        "sol = solve_ivp(lambda t, y: np.full(2, np.nan), (1.0, 2.0),\n"
+        "                np.ones(2), t_eval=np.linspace(1.0, 2.0, 9),\n"
+        "                rtol=1e-10, atol=1e-12, event=lambda t, y: 1.0)\n"
+        "print(sol.status, sol.nfev, sol.y.shape)\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(laxlab.__file__))
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "-1 2 (2, 0)\n"
 
 
 # ---------------------------------------------------------------------------

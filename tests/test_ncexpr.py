@@ -737,7 +737,7 @@ class _RecordingRuleSet(RuleSet):
     """A rule set that records every word it is asked to match."""
 
     def __init__(self, base: RuleSet):
-        super().__init__(base.name, base.rules, base.max_passes)
+        super().__init__(base.name, base.rules)
         self.seen = []
 
     def find(self, word):
@@ -840,19 +840,23 @@ def test_normalize_repeated_final_word():
         P("u*z - z*u - (i/2)*hbar*u"), rs).is_zero
 
 
-def test_pass_budget_exhaustion():
+def test_pass_budget_exhaustion(monkeypatch):
     rs = builtin_ruleset("quantum-zu")
     # u^k z^k needs many passes; a budget of 1 cannot finish
     e = P("u*z*u*z*u*z")
+    want = normalize(e, rs)
+    monkeypatch.setenv("LAXLAB_PASS_BUDGET", "1")
     with pytest.raises(PassBudgetExhausted):
-        normalize(e, rs, budget=1)
-    assert normalize(e, rs, budget=DEFAULT_PASS_BUDGET) == normalize(e, rs)
+        normalize(e, rs)
+    monkeypatch.setenv("LAXLAB_PASS_BUDGET", str(DEFAULT_PASS_BUDGET))
+    assert normalize(e, rs) == want
 
 
-def test_pass_budget_error_names_word_and_counts():
+def test_pass_budget_error_names_word_and_counts(monkeypatch):
     rs = builtin_ruleset("quantum-zu")
+    monkeypatch.setenv("LAXLAB_PASS_BUDGET", "1")
     with pytest.raises(PassBudgetExhausted) as info:
-        normalize(P("u*z*u*z*u*z"), rs, budget=1)
+        normalize(P("u*z*u*z*u*z"), rs)
     err = info.value
     assert (err.ruleset, err.budget) == ("quantum-zu", 1)
     # u*z*u*z*u*z -> z*u*u*z*u*z + (i/2)*hbar*u*u*z*u*z; the smaller
@@ -880,18 +884,6 @@ def test_pass_budget_env_override(monkeypatch):
     monkeypatch.setenv("LAXLAB_PASS_BUDGET", "-3")
     with pytest.raises(LaxlabError):
         normalize(e, rs)
-
-
-def test_explicit_budget_beats_env(monkeypatch):
-    rs = builtin_ruleset("quantum-zu")
-    e = P("u*z*u*z*u*z")
-    monkeypatch.setenv("LAXLAB_PASS_BUDGET", "1")
-    assert not normalize(e, rs, budget=100000).is_zero
-
-
-def test_ruleset_rejects_empty_budget():
-    with pytest.raises(RuleError):
-        RuleSet("bad", (), max_passes=0)
 
 
 def test_hand_built_ruleset():
@@ -936,32 +928,44 @@ def test_builtin_rulesets_are_decreasing(name):
     assert builtin_ruleset(name).decreasing
 
 
+def _zv_vu_uu() -> RuleSet:
+    return combine_rulesets("zv+vu+uu", *(builtin_ruleset(name) for name in (
+        "quantum-zv", "commute-vu", "commute-uu")))
+
+
+def _big() -> NCExpr:
+    """3125 words that take 11 372 applications under ``_zv_vu_uu()``."""
+    return P("z + v + u + u' + v'") ** 5
+
+
 def test_non_decreasing_ruleset_keeps_its_budget():
     uphill = _uphill_rules()
     assert not uphill.decreasing
-    rules = uphill.rules
     # one decreasing rule next to an uphill one does not make a set decreasing
     z, u = NCExpr.gen("z"), NCExpr.gen("u")
-    mixed = RuleSet("mixed", (Rule((Atom("u"), Atom("z")), z * u), rules[0]))
+    mixed = RuleSet("mixed", (Rule((Atom("u"), Atom("z")), z * u),
+                              uphill.rules[0]))
     assert [rule.decreasing for rule in mixed.rules] == [True, False]
     assert not mixed.decreasing
+    # an uphill rule that never fires keeps the default budget unscaled
+    rs = RuleSet("zv+vu+uu+pq", _zv_vu_uu().rules + (
+        Rule((Atom("p"), Atom("q")), P("q*p")),))
+    assert not rs.decreasing
     with pytest.raises(PassBudgetExhausted) as info:
-        normalize(P("z*u*z*u + z*v*z*v"), RuleSet("uphill-1", rules, 1))
-    assert info.value.budget == 1
+        normalize(_big(), rs)
+    assert info.value.budget == DEFAULT_PASS_BUDGET
 
 
-def test_decreasing_default_budget_scales_with_input():
-    # a one-application maximum grows to terms x degree^2 = 1 x 36
-    zu = builtin_ruleset("quantum-zu")
-    e = P("u*z*u*z*u*z")
-    assert normalize(e, RuleSet("zu-1", zu.rules, 1)) == normalize(e, zu)
-    rs = combine_rulesets("zv+vu+uu", *(builtin_ruleset(name) for name in (
-        "quantum-zv", "commute-vu", "commute-uu")))
+def test_decreasing_default_budget_scales_with_input(monkeypatch):
+    rs = _zv_vu_uu()
     assert rs.decreasing
-    big = P("z + v + u + u' + v'") ** 5  # 3125 words, 11 372 applications
+    big = _big()
+    # the default grows to terms x degree^2 = 3125 x 25
     assert len(normalize(big, rs).terms) == 640
+    # a budget from the environment is taken as it is
+    monkeypatch.setenv("LAXLAB_PASS_BUDGET", str(DEFAULT_PASS_BUDGET))
     with pytest.raises(PassBudgetExhausted) as info:
-        normalize(big, rs, budget=DEFAULT_PASS_BUDGET)
+        normalize(big, rs)
     assert info.value.budget == DEFAULT_PASS_BUDGET
 
 

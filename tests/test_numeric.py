@@ -124,8 +124,9 @@ def test_dpii3_ordered_cube_differs_from_scalar_for_noncommuting_data():
     u0 = np.array([[0.2 + 0j, 0.1], [0.0, -0.1]])
     du0 = np.array([[0.0 + 0j, -0.05], [0.05, 0.1]])
     ddu0 = np.array([[0.05 + 0j, 0.0], [0.1, -0.05]])
-    result = dpii_first_integral_check((u0, du0, ddu0), span=(1.0, 2.0), n=2)
-    assert result["drift"] < 1e-7
+    tr = integrate(ODEProblem("dpii3", n=2, z0=1.0, z1=2.0, u0=u0, du0=du0,
+                              ddu0=ddu0))
+    assert _first_integral_drift(tr) < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +186,8 @@ def test_pole_detection_reports_location():
 def test_map_check_rejects_vanishing_denominator():
     # u = 0 on the p34 flow gives p = z/2 which stays away from zero, so
     # force a crossing instead: u' = -z/2 - u^2 at the left end
-    with pytest.raises(NumericError):
-        p34_map_check(0.0, (0.0, -0.5), span=(1.0, 1.5))
+    with pytest.raises(NumericError, match=r"p\(z\) passes too close"):
+        p34_map_check(0.0, (0.0, -0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -384,16 +385,26 @@ def test_p34_map_check_matches_point_by_point(alpha, ic):
         assert result[f"residual_{tag}"] == worst
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_dpii_first_integral_matches_point_by_point(n):
-    ic = (_generic(n, 4), _generic(n, 5), _generic(n, 6, 0.2))
-    result = dpii_first_integral_check(ic, span=(1.0, 2.0), n=n)
-    tr = integrate(ODEProblem("dpii3", n=n, z0=1.0, z1=2.0, u0=ic[0],
-                              du0=ic[1], ddu0=ic[2]))
+def _first_integral_drift(tr):
+    """The drift of u'' - 2*u^3 + z*u/3 along ``tr``, point by point."""
     vals = np.array([tr.ddu[k] - 2.0 * (tr.u[k] @ tr.u[k] @ tr.u[k])
                      + tr.grid[k] * tr.u[k] / 3.0
                      for k in range(len(tr.grid))])
-    assert result["drift"] == float(np.max(np.abs(vals - vals[0])))
+    return float(np.max(np.abs(vals - vals[0])))
+
+
+def test_dpii_first_integral_matches_point_by_point():
+    ic = (_generic(1, 4), _generic(1, 5), _generic(1, 6, 0.2))
+    result = dpii_first_integral_check(ic)
+    tr = integrate(ODEProblem("dpii3", z0=1.0, z1=4.0, u0=ic[0], du0=ic[1],
+                              ddu0=ic[2]))
+    assert result["drift"] == _first_integral_drift(tr)
+
+
+def test_dpii3_conserves_first_integral_at_n2():
+    tr = integrate(ODEProblem("dpii3", n=2, z0=1.0, z1=2.0, u0=_generic(2, 4),
+                              du0=_generic(2, 5), ddu0=_generic(2, 6, 0.2)))
+    assert _first_integral_drift(tr) < 1e-9
 
 
 def _ref_flow(problem, z, y):

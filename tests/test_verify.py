@@ -293,11 +293,18 @@ def test_compare_canonical_records_canonical_form():
     assert not run.failed
 
 
-def test_compare_documented_mismatch_closes_up_to_scale():
-    run, rec = _compare(P("u + 2*z"), P("u"), expected=P("-z"))
+def test_compare_documented_mismatch_closes_exactly():
+    run, rec = _compare(P("u + 2*z"), P("u"), expected=P("2*z"))
     assert (rec.expression, rec.difference) == ("2*z + u", "2*z")
     assert run.noted and not run.failed
     assert run.report().status == verify.VERIFIED_WITH_NOTES
+
+
+@pytest.mark.parametrize("expected", ["z", "-2*z", "4*i*z"])
+def test_compare_documented_mismatch_off_by_scale_fails(expected):
+    run, rec = _compare(P("u + 2*z"), P("u"), expected=P(expected))
+    assert rec.difference == f"MISMATCH: expected {expected}, got 2*z"
+    assert run.report().status == verify.DISCREPANCY
 
 
 def test_compare_zero_difference_closes_against_zero_expected():
