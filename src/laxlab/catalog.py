@@ -8,13 +8,13 @@ form the exact algebra produces.
 
 One helper per kind (``_pair``, ``_gauge``, ``_target``, ``_system``)
 registers each entry with its citation, the texts it parses and its
-parameter slots; a slot names a parameter and the sign with which it
-enters ``alpha``.  ``_Entry.make`` is the one place where an entry is
-built: it parses the texts anew on every call.  Inside a
-``shared_builds()`` block, which every ``laxlab`` command that builds
-entries runs in, ``build`` calls it once per key and parameter value and
-hands that one value to every caller; outside a block every call builds
-a fresh value.
+``params``.  Entries take no parameters: ``alpha`` stays a free central
+symbol, and ``params`` only names the printed parameters that ``alpha``
+stands for.  ``_Entry.make`` is the one place where an entry is built: it
+parses the texts anew on every call.  Inside a ``shared_builds()`` block,
+which ``laxlab verify`` runs its pipelines in, ``build`` calls it once per
+key and hands that one value to every caller; outside a block every call
+builds a fresh value.
 Callers must therefore never mutate a built value.  Built values carry no
 name or citation; ``describe`` serves those.
 
@@ -27,16 +27,15 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
 from .laxmat import Mat2
-from .ncexpr import LaxlabError, NCExpr, QQi
+from .ncexpr import LaxlabError, NCExpr
 from .ncexpr import parse as _p
 
 
 class CatalogError(LaxlabError):
-    """Unknown key or unusable parameters."""
+    """Unknown key."""
 
 
 class LaxPairSpec(NamedTuple):
@@ -67,52 +66,45 @@ class TargetSystem(NamedTuple):
 class _Entry(NamedTuple):
     kind: str
     citation: str
-    #: (slot name, sign with which the slot enters alpha)
-    slots: tuple[tuple[str, int], ...]
-    #: assembles the value from a text parser
-    assemble: Callable
-
-    def make(self, alpha: QQi | None):
-        """Build the value, with ``alpha`` bound when it is given."""
-        if alpha is None:
-            return self.assemble(_p)
-        return self.assemble(lambda text: _p(text).bind_alpha(alpha))
+    #: the printed parameters that the symbol alpha stands for
+    params: tuple[str, ...]
+    #: builds the value, parsing its texts anew
+    make: Callable
 
 
 _SPECS: dict[str, _Entry] = {}
 
 
-def _target(key: str, citation: str, text: str, slots: tuple = ()) -> None:
+def _target(key: str, citation: str, text: str, params: tuple = ()) -> None:
     _SPECS[key] = _Entry(
-        "target", citation, slots, lambda parse: TargetEquation(parse(text))
+        "target", citation, params, lambda: TargetEquation(_p(text))
     )
 
 
 def _system(key: str, citation: str, texts: tuple[str, ...]) -> None:
     _SPECS[key] = _Entry(
         "system", citation, (),
-        lambda parse: TargetSystem(tuple(parse(t) for t in texts)),
+        lambda: TargetSystem(tuple(_p(t) for t in texts)),
     )
 
 
-def _mat(parse, texts) -> Mat2:
+def _mat(texts) -> Mat2:
     """A matrix from Pauli components (a dict) or row-major entry texts."""
     if isinstance(texts, dict):
-        return Mat2.from_pauli({k: parse(v) for k, v in texts.items()})
-    return Mat2([parse(t) for t in texts])
+        return Mat2.from_pauli({k: _p(v) for k, v in texts.items()})
+    return Mat2([_p(t) for t in texts])
 
 
 def _pair(key: str, citation: str, p, q, rules: tuple = ()) -> None:
     _SPECS[key] = _Entry(
-        "pair", citation, (("alpha", 1),),
-        lambda parse: LaxPairSpec(_mat(parse, p), _mat(parse, q), rules),
+        "pair", citation, ("alpha",),
+        lambda: LaxPairSpec(_mat(p), _mat(q), rules),
     )
 
 
 def _gauge(key: str, citation: str, g: tuple, g_inv: tuple) -> None:
     _SPECS[key] = _Entry(
-        "gauge", citation, (),
-        lambda parse: GaugeSpec(_mat(parse, g), _mat(parse, g_inv)),
+        "gauge", citation, (), lambda: GaugeSpec(_mat(g), _mat(g_inv)),
     )
 
 
@@ -224,7 +216,7 @@ _target(
     "stands for the printed parameter difference alpha1 - alpha0; numeric "
     "parameters bind it.",
     "u'' - 2*u^3 + z*u - alpha",
-    slots=(("alpha0", -1), ("alpha1", 1)),
+    params=("alpha0", "alpha1"),
 )
 
 _target(
@@ -234,7 +226,7 @@ _target(
     "symbol alpha records the printed alpha1.",
     "q'' - (1/2)*q'*q^-1*q' + 4*q^2 - 2*z*q "
     "+ (1/2)*(alpha^2 - hbar^2)*q^-1",
-    slots=(("alpha1", 1),),
+    params=("alpha1",),
 )
 
 _system(
@@ -560,19 +552,19 @@ def describe(key: str) -> dict:
     if entry is None:
         raise CatalogError(f"unknown catalog key {key!r}")
     return {"kind": entry.kind, "citation": entry.citation,
-            "params": tuple(name for name, _ in entry.slots)}
+            "params": entry.params}
 
 
-#: The values built inside the current ``shared_builds()`` block, by key and
-#: bound alpha; ``None`` outside every block.
+#: The values built inside the current ``shared_builds()`` block, by key;
+#: ``None`` outside every block.
 _SHARED: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "laxlab_catalog_shared", default=None)
 
 
 @contextlib.contextmanager
 def shared_builds() -> Iterator[None]:
-    """Inside the block, ``build`` builds each key and parameter value once
-    and returns that one value to every caller."""
+    """Inside the block, ``build`` builds each key once and returns that
+    one value to every caller."""
     token = _SHARED.set({})
     try:
         yield
@@ -580,34 +572,16 @@ def shared_builds() -> Iterator[None]:
         _SHARED.reset(token)
 
 
-def build(key: str, **params):
-    """Build a catalog entry.  ``params`` gives every parameter slot of the
-    entry or none; alpha is bound to the slots' signed sum.  Inside a
-    ``shared_builds()`` block, equal requests return the same value."""
+def build(key: str):
+    """Build a catalog entry.  Inside a ``shared_builds()`` block, every
+    request for one key returns the same value."""
     entry = _SPECS.get(key)
     if entry is None:
         raise CatalogError(f"unknown catalog key {key!r}")
-    names = [name for name, _ in entry.slots]
-    if params and set(params) != set(names):
-        raise CatalogError(
-            f"catalog key {key!r} takes all of its parameter slots {names} "
-            f"or none, not {sorted(params)}"
-        )
-    alpha = None
-    if params:
-        alpha = QQi(0)
-        for name, sign in entry.slots:
-            value = params[name]
-            if isinstance(value, bool) or not isinstance(
-                    value, (int, Fraction, QQi)):
-                raise CatalogError(
-                    f"parameter {name!r} must be an integer, Fraction, or QQi"
-                )
-            alpha = alpha + sign * value
     shared = _SHARED.get()
     if shared is None:
-        return entry.make(alpha)
-    built = shared.get((key, alpha))
+        return entry.make()
+    built = shared.get(key)
     if built is None:
-        built = shared[key, alpha] = entry.make(alpha)
+        built = shared[key] = entry.make()
     return built

@@ -12,9 +12,9 @@ Each invocation builds the argument parser of the named subcommand only;
 help, a missing or unknown command, or an option in first place builds all
 five, so every help and error text reads the same either way.  Each command
 imports only the modules it runs: ``reduce --expr`` needs the kernel alone.
-A command that builds catalog entries (``verify``, ``derive``, ``reduce``
-of a KEY, ``catalog show``) runs inside ``catalog.shared_builds()``, so it
-builds each entry at most once per parameter value.
+``verify`` runs its pipelines inside ``catalog.shared_builds()``, so
+pipelines that use the same catalog entry share one build of it; every
+other command builds each entry at most once anyway.
 
 Exit codes are the process-level contract: 0 when every requested case is
 verified or verified-with-notes, 1 on any discrepancy, failed computation,
@@ -83,13 +83,14 @@ def _check_tower_orders(e: NCExpr, towers: str) -> None:
 
 
 def _cmd_verify(args) -> int:
-    from . import verify
+    from . import catalog, verify
 
     rules = _ruleset(args.rules)
     cases = verify.CASES if args.case == "all" else (args.case,)
     try:
-        reports = [verify.run(case, args.negative_control, rules)
-                   for case in cases]
+        with catalog.shared_builds():
+            reports = [verify.run(case, args.negative_control, rules)
+                       for case in cases]
     except verify.VerifyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -414,16 +415,6 @@ def build_parser(commands=tuple(_COMMANDS)) -> argparse.ArgumentParser:
     return parser
 
 
-def _builds_catalog(args) -> bool:
-    """Whether the command builds catalog entries, and so runs inside
-    ``catalog.shared_builds()``."""
-    if args.command == "reduce":
-        return args.key is not None
-    if args.command == "catalog":
-        return args.action == "show"
-    return args.command in ("verify", "derive")
-
-
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -448,13 +439,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if _builds_catalog(args):
-            from . import catalog
-
-            with catalog.shared_builds():
-                code = args.func(args)
-        else:
-            code = args.func(args)
+        code = args.func(args)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe early (``laxlab ... | head``).  Python

@@ -764,16 +764,6 @@ class NCExpr:
                           _mono((0, h, a), c))
         return {l: NCExpr._of(terms) for l, terms in buckets.items()}
 
-    def bind_alpha(self, value) -> "NCExpr":
-        v = value if isinstance(value, QQi) else QQi(value)
-
-        def bind(key: ExpKey, c: QQi) -> tuple[ExpKey, QQi]:
-            for _ in range(key[2]):
-                c = c * v
-            return (key[0], key[1], 0), c
-
-        return self._map_monomials(bind)
-
     def negate_alpha(self) -> "NCExpr":
         return self._map_monomials(lambda k, c: (k, -c if k[2] % 2 else c))
 

@@ -50,6 +50,7 @@ import cmath
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,7 +109,8 @@ class ODEProblem:
     """One initial-value problem.  Scalars passed for u0/du0/ddu0 are
     promoted to multiples of the identity.  ``grid`` holds the
     ``grid_points`` output points from z0 to z1, which must be strictly
-    monotone.  Raises ``MemoryError`` when an array of the problem's size
+    monotone, with a spacing h whose power h**depth, the divisor of the
+    finite-difference audit, is a normal float.  Raises ``MemoryError`` when an array of the problem's size
     cannot be allocated."""
 
     rhs: str
@@ -169,6 +171,12 @@ class ODEProblem:
                 f"{self.grid_points} grid points from z0 = {self.z0!r} to "
                 f"z1 = {self.z1!r} are not strictly monotone: the span is "
                 "too short or too wide"
+            )
+        h = abs(float(self.grid[1] - self.grid[0]))
+        if h ** self.depth < sys.float_info.min:
+            raise NumericError(
+                f"grid spacing {h!r} is too small for the finite-difference "
+                f"audit: h**{self.depth} is below the smallest normal float"
             )
 
     @property

@@ -1,14 +1,13 @@
-"""Catalog tests: registry shape, reproducible builds, parameter binding,
-and the cross-entry identities the catalog is expected to satisfy."""
-
-from fractions import Fraction
+"""Catalog tests: registry shape, reproducible builds, shared builds
+within one command, and the cross-entry identities the catalog is
+expected to satisfy."""
 
 import pytest
 
 from laxlab import catalog, cli
 from laxlab.catalog import CatalogError
 from laxlab.laxmat import Mat2
-from laxlab.ncexpr import NCExpr, QQi, parse
+from laxlab.ncexpr import NCExpr, parse
 
 
 def P(text: str) -> NCExpr:
@@ -45,27 +44,6 @@ def test_unknown_key_rejected():
         catalog.describe("not-a-key")
 
 
-def test_unknown_param_rejected():
-    with pytest.raises(CatalogError):
-        catalog.build("pii-classical", alpha=1)
-    with pytest.raises(CatalogError):
-        catalog.build("qpii-pair", beta=1)
-
-
-def test_alpha_binding_on_pairs():
-    bound = catalog.build("qpii-pair", alpha=1)
-    free = catalog.build("qpii-pair")
-    assert all("alpha" not in str(e) for e in bound.q.entries)
-    assert free.q != bound.q
-    frac = catalog.build("qpii-pair", alpha=Fraction(1, 2))
-    assert frac.q != bound.q
-
-
-def test_non_rational_param_rejected():
-    with pytest.raises(CatalogError):
-        catalog.build("qpii-pair", alpha=0.5)
-
-
 def test_pair_rules_fields():
     assert catalog.build("qpii-pair").rules == ("quantum-zv",)
     assert catalog.build("qpii-pair-asprinted").rules == ("quantum-zv",)
@@ -81,18 +59,6 @@ def test_gauge_matrix_is_two_sided_inverse():
     ident = Mat2.identity()
     assert gauge.g * gauge.g_inv == ident
     assert gauge.g_inv * gauge.g == ident
-
-
-def test_matrix_pii_target_parameters():
-    free = catalog.build("matrix-pii-target")
-    both = catalog.build("matrix-pii-target", alpha0=0, alpha1=1)
-    assert free.lhs != both.lhs
-    with pytest.raises(CatalogError):
-        catalog.build("matrix-pii-target", alpha0=0)  # both or neither
-    # alpha stands for alpha1 - alpha0
-    signed = catalog.build("matrix-pii-target", alpha0=Fraction(1, 2),
-                           alpha1=2)
-    assert signed.lhs == P("u'' - 2*u^3 + z*u - 3/2")
 
 
 def test_classical_limit_bridge():
@@ -137,32 +103,40 @@ def test_weyl_relations_entry_consistent_with_ruleset():
 
 
 # ---------------------------------------------------------------------------
-# one build per key and parameter value within one command
+# one build per key within one command
 # ---------------------------------------------------------------------------
 def _record_builds(monkeypatch):
-    """Record every ``_Entry.make`` call and every value ``build`` returns."""
+    """Record the key of every ``_Entry.make`` call and every value
+    ``build`` returns."""
     makes, values = [], []
-    make, build = catalog._Entry.make, catalog.build
+    for key, entry in catalog._SPECS.items():
+        def recording_make(key=key, make=entry.make):
+            makes.append(key)
+            return make()
 
-    def recording_make(entry, alpha):
-        makes.append((id(entry), alpha))
-        return make(entry, alpha)
+        monkeypatch.setitem(catalog._SPECS, key,
+                            entry._replace(make=recording_make))
+    build = catalog.build
 
-    def recording_build(key, **params):
-        value = build(key, **params)
+    def recording_build(key):
+        value = build(key)
         values.append(value)
         return value
 
-    monkeypatch.setattr(catalog._Entry, "make", recording_make)
     monkeypatch.setattr(catalog, "build", recording_build)
     return makes, values
 
 
-def test_one_command_builds_each_entry_once(monkeypatch, capsys):
-    makes, values = _record_builds(monkeypatch)
-    assert cli.main(["verify", "--case", "all", "--format", "json"]) == 0
+@pytest.mark.parametrize("argv", [
+    ["verify", "--case", "all", "--format", "json"],
+    ["derive", "p34"],
+    ["reduce", "qpii-pair", "--v-du"],
+    ["catalog", "show", "qpii-pair"],
+], ids=["verify-all", "derive", "reduce-key", "catalog-show"])
+def test_one_command_builds_each_entry_once(argv, monkeypatch, capsys):
+    makes, _ = _record_builds(monkeypatch)
+    assert cli.main(argv) == 0
     assert len(makes) == len(set(makes)) > 0
-    assert len(values) > len(makes)
 
 
 def test_commands_share_no_catalog_value(monkeypatch, capsys):
@@ -177,8 +151,7 @@ def test_commands_share_no_catalog_value(monkeypatch, capsys):
 
 def test_shared_builds_block_scopes_the_sharing():
     with catalog.shared_builds():
-        inside = catalog.build("qpii-pair", alpha=1)
-        assert catalog.build("qpii-pair", alpha=1) is inside
-        assert catalog.build("qpii-pair", alpha=QQi(1)) is inside
-        assert catalog.build("qpii-pair") is not inside
-    assert catalog.build("qpii-pair", alpha=1) is not inside
+        inside = catalog.build("qpii-pair")
+        assert catalog.build("qpii-pair") is inside
+        assert catalog.build("qpii-pair-asprinted") is not inside
+    assert catalog.build("qpii-pair") is not inside

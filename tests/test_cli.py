@@ -341,6 +341,18 @@ def test_integrate_validation_exits_two(capsys):
         assert err == (f"error: 9 grid points from z0 = {float(z0)!r} to "
                        f"z1 = {float(z1)!r} are not strictly monotone: the "
                        "span is too short or too wide\n")
+    # distinct grid points whose spacing h leaves h**2 (h**3 for dpii3), the
+    # audit's divisor, below the smallest normal float
+    for argv, h, depth in (
+            (["pii", "--z1=1e-300"], 1.25e-301, 2),
+            (["pii", "--z1=1e-158", "--u0", "0.1"], 1.25e-159, 2),
+            (["dpii3", "--z1=1e-104", "--ddu0", "0.1"], 1.25e-105, 3)):
+        code, out, err = run_cli(
+            ["integrate", *argv, "--z0", "0", "--grid", "9"], capsys)
+        assert code == 2 and out == ""
+        assert err == (f"error: grid spacing {h!r} is too small for the "
+                       f"finite-difference audit: h**{depth} is below the "
+                       "smallest normal float\n")
 
 
 def test_integrate_pole_exits_one(capsys):
@@ -534,10 +546,15 @@ def _modules_after(code: str) -> set:
     (["verify", "--case", "prop31"], {"dataclasses", "laxlab.numeric", "json"}),
     (["derive", "p34"], {"dataclasses", "laxlab.numeric", "json"}),
     (["catalog", "list"], {"laxlab.verify", "laxlab.numeric"}),
+    (["reduce", "qpii-pair", "--v-du"],
+     {"laxlab.verify", "laxlab.numeric", "dataclasses"}),
+    (["catalog", "show", "qpii-pair"],
+     {"laxlab.verify", "laxlab.numeric", "dataclasses"}),
     (["integrate", "pii", "--grid", "9"], {"scipy"}),
     (["verify", "--case", "numeric-pii"], {"scipy"}),
 ], ids=["reduce-expr", "verify-json", "verify-text", "derive-text",
-        "catalog-list", "integrate", "verify-numeric"])
+        "catalog-list", "reduce-key", "catalog-show", "integrate",
+        "verify-numeric"])
 def test_cold_command_loads_only_what_it_runs(argv, absent):
     # diffed against a bare interpreter, since ``site`` may preload modules
     bare = _modules_after("")

@@ -248,12 +248,11 @@ def test_pipelines_leave_shared_catalog_values_unchanged(monkeypatch):
     shared = {}
     calls = []
 
-    def build_once(key, **params):
-        memo_key = (key, tuple(sorted(params.items())))
-        calls.append(memo_key)
-        if memo_key not in shared:
-            shared[memo_key] = fresh(key, **params)
-        return shared[memo_key]
+    def build_once(key):
+        calls.append(key)
+        if key not in shared:
+            shared[key] = fresh(key)
+        return shared[key]
 
     monkeypatch.setattr(catalog, "build", build_once)
     for case in verify.CASES:
@@ -261,8 +260,8 @@ def test_pipelines_leave_shared_catalog_values_unchanged(monkeypatch):
         twin = verify.run(case, negative_control=True)
         assert twin.status == verify.DISCREPANCY, case
     assert len(calls) > len(shared) > 0
-    for (key, params), value in shared.items():
-        assert value == fresh(key, **dict(params)), key
+    for key, value in shared.items():
+        assert value == fresh(key), key
 
 
 # ---------------------------------------------------------------------------
