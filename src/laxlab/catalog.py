@@ -213,8 +213,7 @@ _system(
 _target(
     "matrix-pii-target",
     "Second-order matrix target u'' = 2*u^3 - z*u + alpha, where alpha "
-    "stands for the printed parameter difference alpha1 - alpha0; numeric "
-    "parameters bind it.",
+    "stands for the printed parameter difference alpha1 - alpha0.",
     "u'' - 2*u^3 + z*u - alpha",
     params=("alpha0", "alpha1"),
 )
