@@ -110,8 +110,8 @@ class ODEProblem:
     promoted to multiples of the identity.  ``grid`` holds the
     ``grid_points`` output points from z0 to z1, which must be strictly
     monotone, with a spacing h whose power h**depth, the divisor of the
-    finite-difference audit, is a normal float.  Raises ``MemoryError`` when an array of the problem's size
-    cannot be allocated."""
+    finite-difference audit, is a normal float.  Raises ``MemoryError``
+    when an array of the problem's size cannot be allocated."""
 
     rhs: str
     alpha: complex = 0.0
