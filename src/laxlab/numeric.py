@@ -173,7 +173,8 @@ class ODEProblem:
                 "too short or too wide"
             )
         h = abs(float(self.grid[1] - self.grid[0]))
-        if h ** self.depth < sys.float_info.min:
+        # h < 1 first: a float power that overflows raises in Python
+        if h < 1 and h ** self.depth < sys.float_info.min:
             raise NumericError(
                 f"grid spacing {h!r} is too small for the finite-difference "
                 f"audit: h**{self.depth} is below the smallest normal float"

@@ -355,6 +355,20 @@ def test_integrate_validation_exits_two(capsys):
                        "smallest normal float\n")
 
 
+@pytest.mark.parametrize("argv, rows", [
+    (["pii", "--z1=1e160"], 3),
+    (["dpii3", "--z1=1e104", "--ddu0", "0"], 1),
+], ids=["pii", "dpii3"])
+def test_integrate_wide_span_runs(argv, rows, capsys):
+    # h**depth overflows a float here; the spacing check must not raise
+    code, out, err = run_cli(
+        ["integrate", *argv, "--z0", "0", "--grid", "9"], capsys)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 10
+    assert sum(not line.endswith(",") for line in lines[1:]) == rows
+
+
 def test_integrate_pole_exits_one(capsys):
     code, _, err = run_cli(
         ["integrate", "p34", "--alpha", "0.7", "--u0", "0.3",
