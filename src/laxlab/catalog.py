@@ -11,12 +11,8 @@ registers each entry with its citation, the texts it parses and its
 ``params``.  Entries take no parameters: ``alpha`` stays a free central
 symbol, and ``params`` only names the printed parameters that ``alpha``
 stands for.  ``_Entry.make`` is the one place where an entry is built: it
-parses the texts anew on every call.  Inside a ``shared_builds()`` block,
-which ``laxlab verify`` runs its pipelines in, ``build`` calls it once per
-key and hands that one value to every caller; outside a block every call
-builds a fresh value.
-Callers must therefore never mutate a built value.  Built values carry no
-name or citation; ``describe`` serves those.
+parses the texts anew on every call, so every ``build`` returns a fresh
+value.  Built values carry no name or citation; ``describe`` serves those.
 
 All target equations and systems are stored as left-hand sides: the
 recorded expression equals printed-lhs minus printed-rhs, so the
@@ -25,9 +21,7 @@ equation asserts ``lhs == 0``.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .laxmat import Mat2
 from .ncexpr import LaxlabError, NCExpr
@@ -554,33 +548,9 @@ def describe(key: str) -> dict:
             "params": entry.params}
 
 
-#: The values built inside the current ``shared_builds()`` block, by key;
-#: ``None`` outside every block.
-_SHARED: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "laxlab_catalog_shared", default=None)
-
-
-@contextlib.contextmanager
-def shared_builds() -> Iterator[None]:
-    """Inside the block, ``build`` builds each key once and returns that
-    one value to every caller."""
-    token = _SHARED.set({})
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
-
-
 def build(key: str):
-    """Build a catalog entry.  Inside a ``shared_builds()`` block, every
-    request for one key returns the same value."""
+    """Build a fresh value of a catalog entry."""
     entry = _SPECS.get(key)
     if entry is None:
         raise CatalogError(f"unknown catalog key {key!r}")
-    shared = _SHARED.get()
-    if shared is None:
-        return entry.make()
-    built = shared.get(key)
-    if built is None:
-        built = shared[key] = entry.make()
-    return built
+    return entry.make()

@@ -12,9 +12,6 @@ Each invocation builds the argument parser of the named subcommand only;
 help, a missing or unknown command, or an option in first place builds all
 five, so every help and error text reads the same either way.  Each command
 imports only the modules it runs: ``reduce --expr`` needs the kernel alone.
-``verify`` runs its pipelines inside ``catalog.shared_builds()``, so
-pipelines that use the same catalog entry share one build of it; every
-other command builds each entry at most once anyway.
 
 Exit codes are the process-level contract: 0 when every requested case is
 verified or verified-with-notes, 1 on any discrepancy, failed computation,
@@ -83,14 +80,13 @@ def _check_tower_orders(e: NCExpr, towers: str) -> None:
 
 
 def _cmd_verify(args) -> int:
-    from . import catalog, verify
+    from . import verify
 
     rules = _ruleset(args.rules)
     cases = verify.CASES if args.case == "all" else (args.case,)
     try:
-        with catalog.shared_builds():
-            reports = [verify.run(case, args.negative_control, rules)
-                       for case in cases]
+        reports = [verify.run(case, args.negative_control, rules)
+                   for case in cases]
     except verify.VerifyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

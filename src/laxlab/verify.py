@@ -80,6 +80,17 @@ def _lhs_with(eqs, entry: str, lam_power: int) -> NCExpr:
         return NCExpr.zero()
 
 
+def _prop31_equations(p: Mat2, q: Mat2, rules=None):
+    """The compatibility residual of the pair ``(p, q)`` and the three
+    equations proposition 3.1 reads off it: the diagonal, the lam-linear
+    and the lam-free off-diagonal equation, each zero when the rules
+    rewrote its component away."""
+    residual = zero_curvature_residual(p, q, rules=rules)
+    eqs = extract_equations(residual, label="prop31")
+    return (residual, _lhs_with(eqs, "11", 0), _lhs_with(eqs, "12", 1),
+            _lhs_with(eqs, "12", 0))
+
+
 def _mat_str(m: Mat2) -> str:
     parts = [
         f"{k}: {v}"
@@ -264,6 +275,7 @@ def _fn_classical(negative: bool = False) -> _Run:
 def _prop31(negative: bool = False, rules=None) -> _Run:
     run = _Run("prop31")
     pair = catalog.build("qpii-pair")
+    target = catalog.build("qmpii-target-residual").lhs
     pb, qb = pair.p, pair.q
     if negative:
         # mutation: drop the 4*v identity component of the z-member
@@ -303,8 +315,7 @@ def _prop31(negative: bool = False, rules=None) -> _Run:
         asp_main = _eq_with(asp_eqs, "12", 0)
         run.assert_true(
             "as-printed member compatibility",
-            asp_main.lhs.canonical()
-            != catalog.build("qmpii-target-residual").lhs.canonical(),
+            asp_main.lhs.canonical() != target.canonical(),
             str(asp_main.lhs),
             "must NOT match qmpii-target-residual (cubic term becomes "
             "2*i*u^3)",
@@ -336,7 +347,7 @@ def _prop31(negative: bool = False, rules=None) -> _Run:
                  "[u',v], and a stray hbar); the compatibility analysis "
                  "below never uses the displays.")
 
-    residual = zero_curvature_residual(pb, qb, rules=rules)
+    residual, e1, e2, e3 = _prop31_equations(pb, qb, rules)
 
     if not negative:
         n12 = residual.entries[1].scalar_mul(QQi(0, Fraction(-1, 2)))
@@ -369,15 +380,8 @@ def _prop31(negative: bool = False, rules=None) -> _Run:
         )
         run.compare(
             "sum of the lam-free normalized entries", summed,
-            "qmpii-target-residual",
-            nrm(catalog.build("qmpii-target-residual").lhs),
-            canonical=True,
+            "qmpii-target-residual", nrm(target), canonical=True,
         )
-
-    eqs = extract_equations(residual, label="prop31")
-    e1 = _lhs_with(eqs, "11", 0)
-    e2 = _lhs_with(eqs, "12", 1)
-    e3 = _lhs_with(eqs, "12", 0)
 
     commz = nrm(catalog.build("commutation-zv").lhs)
     if commz.is_zero:
@@ -405,9 +409,7 @@ def _prop31(negative: bool = False, rules=None) -> _Run:
         "relation under v = u'.",
     )
     run.compare("lam-free off-diagonal equation", e3,
-                "qmpii-target-residual",
-                nrm(catalog.build("qmpii-target-residual").lhs),
-                canonical=True)
+                "qmpii-target-residual", nrm(target), canonical=True)
     run.compare(
         "lam-free off-diagonal equation vs printed form", e3,
         "qmpii-target-asprinted",
@@ -452,12 +454,8 @@ def _case_i(negative: bool = False) -> _Run:
                 _p("[z,u']"))
 
     pair = catalog.build("qpii-pair")
-    eqs = extract_equations(
-        zero_curvature_residual(pair.p, pair.q), label="prop31"
-    )
-    e1 = _eq_with(eqs, "11", 0).lhs.substitute(subs)
-    e2 = _eq_with(eqs, "12", 1).lhs.substitute(subs)
-    e3 = _eq_with(eqs, "12", 0).lhs.substitute(subs)
+    _, e1, e2, e3 = _prop31_equations(pair.p, pair.q)
+    e1, e2, e3 = (e.substitute(subs) for e in (e1, e2, e3))
     run.compare("diagonal equation under v = u'", e1,
                 "case-i-system line 2", ci.equations[1],
                 expected=_p("4*i*[u',u^2]"), canonical=True)
@@ -487,6 +485,9 @@ def _case_ii(negative: bool = False) -> _Run:
                  "normal-ordering rules u^(k)*z -> z*u^(k) +/- (i/2)*hbar*"
                  "u^(k) was flipped.")
     u = NCExpr.gen("u")
+    display = catalog.build("case-ii-display").lhs
+    dmpii = catalog.build("dmpii").lhs
+    dmpii_limit = dmpii.classical_limit().scalarize()
     source = catalog.build("qmpii-target-asprinted").lhs.substitute({"v": u})
     derived = normalize(source.d_dz(), zu)
     run.compare(
@@ -495,9 +496,7 @@ def _case_ii(negative: bool = False) -> _Run:
         _p("u + (1/4)*i*hbar*u' + u''' + z*u' - 4*u*u'' + 4*u''*u "
            "- 2*u^2*u' - 2*u*u'*u - 2*u'*u^2"),
     )
-    disp = catalog.build("case-ii-display").lhs.substitute(
-        {"nu": u}
-    )
+    disp = display.substitute({"nu": u})
     run.compare(
         "third-order form vs printed display under the printed shift "
         "x = z - (i/4)*hbar",
@@ -522,28 +521,22 @@ def _case_ii(negative: bool = False) -> _Run:
         catalog.build("pii-classical").lhs.d_dz().scalarize(),
         canonical=True,
     )
-    dm = catalog.build("dmpii").lhs.substitute(
-        {"u": NCExpr.gen("nu")}
-    )
     run.compare(
         "printed display vs the third-order matrix equation",
-        catalog.build("case-ii-display").lhs, "dmpii", dm,
+        display, "dmpii", dmpii.substitute({"u": NCExpr.gen("nu")}),
         expected=_p("(2/3)*nu + (2/3)*z*nu' - 7*nu*nu'' + 7*nu''*nu "
                     "- 2*nu^2*nu' + 4*nu*nu'*nu - 2*nu'*nu^2"),
     )
     run.assert_true(
         "scalar classical limits of the display and the matrix equation",
-        catalog.build("case-ii-display").lhs.substitute({"nu": u})
-        .classical_limit().scalarize().canonical()
-        != catalog.build("dmpii").lhs.classical_limit().scalarize()
-        .canonical(),
+        disp.classical_limit().scalarize().canonical()
+        != dmpii_limit.canonical(),
         "u + u''' + z*u' - 6*u^2*u'  vs  u + 3*u''' + z*u' - 18*u^2*u'",
         "the two scalar limits must differ (they are related by rescaling "
         "u and z with cube roots of 3, not equal)",
     )
     run.compare(
-        "scalar classical limit of the matrix equation",
-        catalog.build("dmpii").lhs.classical_limit().scalarize(),
+        "scalar classical limit of the matrix equation", dmpii_limit,
         "dpii-scalar", catalog.build("dpii-scalar").lhs.scalarize(),
         canonical=True,
     )
@@ -687,7 +680,7 @@ def _prop41_gauge(negative: bool = False) -> _Run:
              "as u, and the spectral member's nilpotent slots drop the "
              "8*lam^2 + ... payload that the exact computation retains.")
 
-    r0 = zero_curvature_residual(pair.p, pair.q)
+    r0, e1, e2, e3 = _prop31_equations(pair.p, pair.q)
     rt = zero_curvature_residual(pt, qt)
     run.assert_true(
         "conjugated residual equals the conjugated original residual",
@@ -695,27 +688,23 @@ def _prop41_gauge(negative: bool = False) -> _Run:
     )
 
     eqs = extract_equations(rt, label="prop41")
-    base = extract_equations(r0, label="prop31")
-    e1 = _eq_with(base, "11", 0)
-    e2 = _eq_with(base, "12", 1)
-    e3 = _eq_with(base, "12", 0)
     g2 = _eq_with(eqs, "11", 1)
     g12 = _eq_with(eqs, "12", 0)
     g21 = _eq_with(eqs, "21", 0)
     i_unit = NCExpr.imag_unit()
     run.compare("conjugated lam-linear equation", g2.lhs,
                 "(lam-linear equation of the unconjugated pair)",
-                e2.lhs, canonical=True)
+                e2, canonical=True)
     run.compare(
         "conjugated equation from entry 12", g12.lhs,
         "(second-order equation minus i times diagonal equation)",
-        e3.lhs.canonical() - i_unit * e1.lhs.canonical(),
+        e3.canonical() - i_unit * e1.canonical(),
         canonical=True,
     )
     run.compare(
         "conjugated equation from entry 21", g21.lhs,
         "(second-order equation plus i times diagonal equation)",
-        e3.lhs.canonical() + i_unit * e1.lhs.canonical(),
+        e3.canonical() + i_unit * e1.canonical(),
         canonical=True,
     )
     run.note("Conjugation mixes the unconjugated equations rather than "

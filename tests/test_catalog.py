@@ -1,10 +1,10 @@
-"""Catalog tests: registry shape, reproducible builds, shared builds
+"""Catalog tests: registry shape, reproducible builds, one build per key
 within one command, and the cross-entry identities the catalog is
 expected to satisfy."""
 
 import pytest
 
-from laxlab import catalog, cli
+from laxlab import catalog, cli, verify
 from laxlab.catalog import CatalogError
 from laxlab.laxmat import Mat2
 from laxlab.ncexpr import NCExpr, parse
@@ -127,16 +127,24 @@ def _record_builds(monkeypatch):
     return makes, values
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--case", "all", "--format", "json"],
-    ["derive", "p34"],
-    ["reduce", "qpii-pair", "--v-du"],
-    ["catalog", "show", "qpii-pair"],
-], ids=["verify-all", "derive", "reduce-key", "catalog-show"])
-def test_one_command_builds_each_entry_once(argv, monkeypatch, capsys):
+_ONE_BUILD_COMMANDS = {
+    **{f"verify-{case}": (["verify", "--case", case], 0)
+       for case in verify.CASES},
+    **{f"verify-{case}-negative":
+       (["verify", "--case", case, "--negative-control"], 1)
+       for case in verify.CASES},
+    "derive": (["derive", "p34"], 0),
+    "reduce-key": (["reduce", "qpii-pair", "--v-du"], 0),
+    "catalog-show": (["catalog", "show", "qpii-pair"], 0),
+}
+
+
+@pytest.mark.parametrize("argv, code", _ONE_BUILD_COMMANDS.values(),
+                         ids=_ONE_BUILD_COMMANDS.keys())
+def test_one_command_builds_each_entry_once(argv, code, monkeypatch, capsys):
     makes, _ = _record_builds(monkeypatch)
-    assert cli.main(argv) == 0
-    assert len(makes) == len(set(makes)) > 0
+    assert cli.main(argv) == code
+    assert len(makes) == len(set(makes))
 
 
 def test_commands_share_no_catalog_value(monkeypatch, capsys):
@@ -148,10 +156,3 @@ def test_commands_share_no_catalog_value(monkeypatch, capsys):
     assert not {id(v) for v in first_values} & {
         id(v) for v in values[len(first_values):]}
 
-
-def test_shared_builds_block_scopes_the_sharing():
-    with catalog.shared_builds():
-        inside = catalog.build("qpii-pair")
-        assert catalog.build("qpii-pair") is inside
-        assert catalog.build("qpii-pair-asprinted") is not inside
-    assert catalog.build("qpii-pair") is not inside
