@@ -17,11 +17,18 @@ the event time agree with SciPy's bit for bit.  Only what ``numeric`` calls
 is kept: one method, output on a ``t_eval`` grid and one terminal event, on
 inputs that ``numeric.ODEProblem`` has already checked.
 
-One departure: a step size that is NaN (the starting step of a state whose
-derivative overflows) ends the integration with status -1, as a step
-below the minimum does; SciPy's ``h_abs < min_step`` test is false for NaN,
-so its rejection loop never ends.  On every finite step size the two
-agree.
+Two departures, both where SciPy never returns a result:
+
+* A step size that is NaN (the starting step of a state whose derivative
+  overflows) ends the integration with status -1, as a step below the
+  minimum does; SciPy's ``h_abs < min_step`` test is false for NaN, so its
+  rejection loop never ends.
+* An event value that is NaN at an end of the step that changed its sign
+  (the dense output of a step accepted under a huge ``rtol`` can overflow
+  to inf and NaN) also ends the integration with status -1, with the
+  message ``NAN_EVENT``; SciPy's ``brentq`` raises a ``ValueError`` there.
+
+On every finite step size and event value the two agree.
 
 SciPy's licence, which covers this port:
 
@@ -76,6 +83,7 @@ EVENT_TOL = 4 * EPS
 EVENT_MAXITER = 100
 
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+NAN_EVENT = "The event function is NaN at an end of the last step."
 MESSAGES = {
     0: "The solver successfully reached the end of the integration interval.",
     1: "A termination event occurred.",
@@ -450,10 +458,13 @@ class _Dop853:
 def brentq(f, a, b) -> float:
     """A zero of ``f`` in [a, b] by Brent's method, to within
     ``EVENT_TOL * (1 + |zero|)``.  ``f(a)`` and ``f(b)`` must differ in
-    sign unless one of them is zero, which returns that end.  A port of
-    SciPy's C ``brentq``, operation for operation."""
+    sign unless one of them is zero, which returns that end; when either
+    is NaN there is no bracket, and the result is NaN.  Otherwise a port
+    of SciPy's C ``brentq``, operation for operation."""
     xpre, xcur = float(a), float(b)
     fpre, fcur = f(xpre), f(xcur)
+    if fpre != fpre or fcur != fcur:
+        return float("nan")
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -508,7 +519,8 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, event) -> OdeResult:
 
     ``event(t, y)`` is terminal: when it changes sign, or reaches zero,
     over a step, the integration stops at its zero and ``t_eval`` is
-    sampled up to there."""
+    sampled up to there.  When the event is NaN at an end of that step,
+    the integration stops with status -1 at the step's start."""
     t0, tf = map(float, t_span)
     t_eval = np.asarray(t_eval)
     if tf > t0:
@@ -522,7 +534,7 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, event) -> OdeResult:
     ys = []
     t_events = []
     g = event(t0, y0)
-    status = None
+    status = message = None
     while status is None:
         if not solver.step():
             status = -1
@@ -535,6 +547,9 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, event) -> OdeResult:
         if g <= 0 and g_new >= 0 or g >= 0 and g_new <= 0:
             sol = solver.dense_output()
             t = brentq(lambda s: event(s, sol(s)), solver.t_old, t)
+            if t != t:
+                status, message = -1, NAN_EVENT
+                break
             t_events.append(t)
             status = 1
         g = g_new
@@ -553,5 +568,5 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, event) -> OdeResult:
             t_eval_i = t_eval_i_new
 
     y = np.hstack(ys) if ys else np.empty((len(y0), 0))
-    return OdeResult(y, status, [np.asarray(t_events)], MESSAGES[status],
-                     solver.nfev)
+    return OdeResult(y, status, [np.asarray(t_events)],
+                     message or MESSAGES[status], solver.nfev)

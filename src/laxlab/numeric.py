@@ -96,7 +96,8 @@ def _as_matrix(value, n: int, name: str) -> np.ndarray:
             raise MemoryError(
                 f"{name}: the {n} x {n} complex matrix is too large to allocate"
             ) from None
-        a = a * eye
+        with np.errstate(all="ignore"):  # overflow is the pole check's job
+            a = a * eye
     if a.shape != (n, n):
         raise NumericError(
             f"{name} has shape {a.shape}, expected ({n}, {n})"
@@ -515,10 +516,10 @@ def p34_map_check(alpha, ic, rhs="p34") -> dict:
     return result
 
 
-def dpii_first_integral_check(ic) -> dict:
+def dpii_first_integral_check(ic) -> float:
     """Integrate the scalar third-order flow from ``ic`` = (u0, u0', u0'')
-    over z in [1, 4] at the default tolerances and grid, and report the
-    drift of its first integral u'' - 2*u^3 + z*u/3 along the
+    over z in [1, 4] at the default tolerances and grid, and return the
+    largest drift of its first integral u'' - 2*u^3 + z*u/3 along the
     trajectory."""
     u0, du0, ddu0 = ic
     problem = ODEProblem("dpii3", z0=1.0, z1=4.0, u0=u0, du0=du0,
@@ -527,8 +528,4 @@ def dpii_first_integral_check(ic) -> dict:
     z = tr.grid
     u = tr.u
     vals = tr.ddu - 2.0 * (u @ u @ u) + z[:, None, None] * u / 3.0
-    drift = float(np.max(np.abs(vals - vals[0])))
-    return {
-        "drift": drift,
-        "integral": "u'' - 2*u^3 + (1/3)*z*u",
-    }
+    return float(np.max(np.abs(vals - vals[0])))

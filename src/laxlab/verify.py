@@ -1086,12 +1086,10 @@ def _numeric_dpii(negative: bool = False) -> _Run:
         run.assert_close("first-integral drift along a generic trajectory",
                          drift, 1e-7)
         return run
-    generic = nm.dpii_first_integral_check((0.3, -0.1, 0.2))
     run.assert_close("first-integral drift along a generic trajectory",
-                     generic["drift"], 1e-7)
-    rest = nm.dpii_first_integral_check((0.0, 0.0, 0.0))
+                     nm.dpii_first_integral_check((0.3, -0.1, 0.2)), 1e-7)
     run.assert_close("first-integral drift along the zero trajectory",
-                     rest["drift"], 1e-12)
+                     nm.dpii_first_integral_check((0.0, 0.0, 0.0)), 1e-12)
     return run
 
 

@@ -540,6 +540,23 @@ def test_integrate_overflow_reports_a_stall(capsys):
                    "than spacing between numbers.\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["pii", "--alpha=1e30", "--z0=3", "--u0=1e-30", "--rtol=1e8"],
+    ["dpii3", "--u0=0", "--rtol=1", "--ddu0=-7"],
+    ["matrix-pii", "--alpha=1e-30", "--z1=0.5", "--u0=1e308+1e308j"],
+], ids=["pii-nan-event", "dpii3-nan-event", "matrix-pii-overflowing-u0"])
+def test_integrate_overflow_exits_one_with_one_error_line(argv):
+    # a child process, so that stderr holds any traceback or warning
+    child = subprocess.run(
+        [sys.executable, "-m", "laxlab.cli", "integrate", *argv],
+        capture_output=True, text=True, timeout=60, env=_child_env(),
+    )
+    assert child.returncode == 1 and child.stdout == ""
+    assert child.stderr.startswith("error: ")
+    assert child.stderr.count("\n") == 1
+    assert "Traceback" not in child.stderr and "Warning" not in child.stderr
+
+
 def _modules_after(code: str) -> set:
     """The modules loaded once ``code`` has run in a fresh interpreter."""
     child = subprocess.run(

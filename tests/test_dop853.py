@@ -223,6 +223,15 @@ def test_brentq_rejects_a_bracket_without_sign_change():
         _dop853.brentq(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("f", [
+    lambda x: math.nan,
+    lambda x: math.nan if x < 0 else x - 0.5,
+    lambda x: math.nan if x > 0 else x + 0.5,
+], ids=["both-ends", "left-end", "right-end"])
+def test_brentq_returns_nan_when_an_end_is_nan(f):
+    assert math.isnan(_dop853.brentq(f, -1.0, 1.0))
+
+
 def test_brentq_tolerance_is_absolute_near_zero():
     # at the root 0 only xtol = 4*EPS is left of the tolerance
     x = _dop853.brentq(math.sin, -1.0, 2.5)

@@ -67,11 +67,8 @@ def test_p34_map_wrong_convention_raises():
 
 
 def test_dpii_first_integral_constant():
-    result = dpii_first_integral_check((0.3, -0.1, 0.2))
-    assert result["drift"] < 1e-7
-    assert result["integral"] == "u'' - 2*u^3 + (1/3)*z*u"
-    rest = dpii_first_integral_check((0.0, 0.0, 0.0))
-    assert rest["drift"] < 1e-12
+    assert dpii_first_integral_check((0.3, -0.1, 0.2)) < 1e-7
+    assert dpii_first_integral_check((0.0, 0.0, 0.0)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +392,10 @@ def _first_integral_drift(tr):
 
 def test_dpii_first_integral_matches_point_by_point():
     ic = (_generic(1, 4), _generic(1, 5), _generic(1, 6, 0.2))
-    result = dpii_first_integral_check(ic)
+    drift = dpii_first_integral_check(ic)
     tr = integrate(ODEProblem("dpii3", z0=1.0, z1=4.0, u0=ic[0], du0=ic[1],
                               ddu0=ic[2]))
-    assert result["drift"] == _first_integral_drift(tr)
+    assert drift == _first_integral_drift(tr)
 
 
 def test_dpii3_conserves_first_integral_at_n2():
