@@ -377,8 +377,8 @@ def _add_integrate(sub) -> None:
 def _add_catalog(sub) -> None:
     p_cat = sub.add_parser(
         "catalog", help="list or show recorded constructions",
-        description="List every catalog key with its kind, parameter "
-                    "slots, and notes, or show one entry in full.",
+        description="List every catalog key with its kind, parameters, "
+                    "and notes, or show one entry in full.",
     )
     p_cat.add_argument("action", choices=("list", "show"))
     p_cat.add_argument("key", nargs="?", default=None,
