@@ -311,6 +311,10 @@ class QQi:
         return body if b > 0 else f"-{body}"
 
 
+#: ``QQi._of`` bound once: the coefficient arithmetic of :class:`Scalar`
+#: builds every result through it.
+_qqi = QQi._of
+
 _QQI_ZERO = QQi(0)
 _QQI_ONE = QQi(1)
 _QQI_I = QQi(0, 1)
@@ -345,8 +349,20 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         out = dict(self.terms)
-        for key, val in other.terms.items():
-            _add_into(out, key, val)
+        for key, y in other.terms.items():
+            x = out.get(key)
+            if x is None:
+                out[key] = y
+                continue
+            d, e = x.d, y.d
+            if d == e:
+                a, b = x.a + y.a, x.b + y.b
+            else:
+                a, b, d = x.a * e + y.a * d, x.b * e + y.b * d, d * e
+            if a or b:
+                out[key] = _qqi(a, b, d)
+            else:
+                del out[key]
         return Scalar(out)
 
     def __neg__(self) -> "Scalar":
@@ -356,9 +372,36 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         out: dict[ExpKey, QQi] = {}
-        for (l1, h1, a1), c1 in self.terms.items():
-            for (l2, h2, a2), c2 in other.terms.items():
-                _add_into(out, (l1 + l2, h1 + h2, a1 + a2), c1 * c2)
+        for (l1, h1, a1), x in self.terms.items():
+            xa, xb, xd = x.a, x.b, x.d
+            for (l2, h2, a2), y in other.terms.items():
+                ya, yb = y.a, y.b
+                # The product's numerator; as in QQi.__mul__, the cross
+                # products of a zero part are skipped.
+                if not xb:
+                    a, b = xa * ya, xa * yb
+                elif not xa:
+                    a, b = -(xb * yb), xb * ya
+                elif not yb:
+                    a, b = xa * ya, xb * ya
+                elif not ya:
+                    a, b = -(xb * yb), xa * yb
+                else:
+                    a, b = xa * ya - xb * yb, xa * yb + xb * ya
+                d = xd * y.d
+                key = (l1 + l2, h1 + h2, a1 + a2)
+                acc = out.get(key)
+                if acc is not None:
+                    # Add the unreduced product, so one gcd serves both.
+                    e = acc.d
+                    if d == e:
+                        a, b = a + acc.a, b + acc.b
+                    else:
+                        a, b, d = a * e + acc.a * d, b * e + acc.b * d, d * e
+                    if not (a or b):
+                        del out[key]
+                        continue
+                out[key] = _qqi(a, b, d)
         return Scalar(out)
 
     def __eq__(self, other):
@@ -439,6 +482,12 @@ def _word_key(word: tuple) -> tuple:
                                  for a in word))
     except KeyError as exc:
         raise ContextError(f"undeclared generator {exc.args[0]!r}") from None
+
+
+def _desc_key(word: tuple) -> tuple:
+    """``_word_key`` with every int negated: it sorts words largest-first.
+    ``word`` holds declared generators only."""
+    return (-len(word), tuple((-_RANK[a.gen], -a.order, -a.inv) for a in word))
 
 
 # ---------------------------------------------------------------------------
@@ -807,18 +856,15 @@ class NCExpr:
     def to_string(self) -> str:
         if not self.terms:
             return "0"
-        items: list[tuple[tuple, ExpKey, QQi]] = []
-        for word, scal in self.sorted_terms():
-            for key in sorted(scal.terms):
-                items.append((word, key, scal.terms[key]))
         chunks: list[str] = []
-        for n, (word, key, c) in enumerate(items):
-            sign, body = _format_term(word, key, c)
-            if n == 0:
-                chunks.append(("-" if sign < 0 else "") + body)
-            else:
+        for word, scal in self.sorted_terms():
+            atoms = _atom_texts(word)
+            terms = scal.terms
+            for key in sorted(terms):
+                sign, body = _format_term(word, key, terms[key], atoms)
                 chunks.append((" - " if sign < 0 else " + ") + body)
-        return "".join(chunks)
+        text = "".join(chunks)
+        return "-" + text[3:] if text[1] == "-" else text[3:]
 
     def __str__(self):
         return self.to_string()
@@ -842,8 +888,14 @@ def _atom_texts(word: tuple) -> list[str]:
     ]
 
 
-def _format_term(word: tuple, key: ExpKey, c: QQi) -> tuple[int, str]:
-    """Return (sign, body) for one printed monomial; body has no leading sign."""
+def _format_term(word: tuple, key: ExpKey, c: QQi,
+                 atoms: list[str] | None = None) -> tuple[int, str]:
+    """Return (sign, body) for one printed monomial; body has no leading sign.
+
+    ``atoms`` is ``_atom_texts(word)``, passed by a caller that prints
+    several monomials of one word."""
+    if atoms is None:
+        atoms = _atom_texts(word)
     l, h, a = key
     centrals: list[str] = []
     if l:
@@ -852,7 +904,7 @@ def _format_term(word: tuple, key: ExpKey, c: QQi) -> tuple[int, str]:
         centrals.append("hbar" if h == 1 else f"hbar^{h}")
     if a:
         centrals.append("alpha" if a == 1 else f"alpha^{a}")
-    tail = centrals + _atom_texts(word)
+    tail = centrals + atoms
 
     a, b, d = c.a, c.b, c.d
     if a and b:
@@ -1162,11 +1214,11 @@ class Rule:
     Two facts are computed once, when the rule is built.  ``decreasing`` is
     true when every word of the replacement is smaller than the pattern in
     the canonical (shortlex) word order.  ``steps`` holds, for each term of
-    the replacement, its word, the per-atom part of the word's sort key and
-    its coefficient, given as ``None`` when it is 1: :func:`normalize`
-    splices the key part into the rewritten word's key instead of
-    recomputing it, and adds a rewritten word's coefficient as it is
-    instead of multiplying it by one.
+    the replacement, its word, the per-atom part of the word's largest-first
+    heap key and its coefficient, given as ``None`` when it is 1:
+    :func:`normalize` splices the key part into the rewritten word's key
+    instead of recomputing it, and adds a rewritten word's coefficient as
+    it is instead of multiplying it by one.
     """
 
     __slots__ = ("pattern", "replacement", "decreasing", "steps")
@@ -1184,9 +1236,9 @@ class Rule:
                         "rule replacement reintroduces its own pattern: "
                         f"{pattern!r}"
                     )
-            word_key = _word_key(word)
-            decreasing = decreasing and word_key < key
-            steps.append((word, word_key[1], None if scal == _ONE else scal))
+            decreasing = decreasing and _word_key(word) < key
+            steps.append((word, _desc_key(word)[1],
+                          None if scal == _ONE else scal))
         self.pattern = pattern
         self.replacement = replacement
         self.decreasing = decreasing
@@ -1263,15 +1315,19 @@ def env_pass_budget() -> int | None:
 def normalize(e: NCExpr, rules: RuleSet | None) -> NCExpr:
     """Rewrite to a normal form in which no rule pattern occurs.
 
-    Deterministic: pending words are processed smallest-first in the
-    canonical word order.  They wait in a heap keyed by that order; each
-    word's key is computed once, when the word enters the pending map (a
-    rewritten word's from the key of the word it came from), and since the
-    key is injective the words pop in exactly the order of a
-    smallest-word scan over the pending map.  Every rule application counts
-    against the budget: :func:`env_pass_budget` when the variable is set,
-    else :data:`DEFAULT_PASS_BUDGET`, which for a decreasing rule set is
-    raised to terms x degree^2 of the input.  Exhausting it raises
+    Each word has one fixed rewrite step: the first rule, in registration
+    order, at the leftmost position where a pattern occurs.  The normal form
+    is therefore a linear map of the input, and the order in which pending
+    words are rewritten changes the work done, never the result.  Pending
+    words wait in a heap and are rewritten largest-first in the canonical
+    word order; each word's key is computed once, when the word enters the
+    pending map (a rewritten word's from the key of the word it came from).
+    A rewrite under a decreasing rule set yields only smaller words, so
+    every contribution to a word has arrived before it is rewritten, and
+    each word is rewritten once.  Every rule application counts against the
+    budget: :func:`env_pass_budget` when the variable is set, else
+    :data:`DEFAULT_PASS_BUDGET`, which for a decreasing rule set is raised
+    to terms x degree^2 of the input.  Exhausting it raises
     :class:`PassBudgetExhausted` rather than looping forever.
     """
     if rules is None:
@@ -1284,7 +1340,7 @@ def normalize(e: NCExpr, rules: RuleSet | None) -> NCExpr:
             limit = max(limit, len(e.terms) * degree * degree)
 
     pending: dict[tuple, Scalar] = dict(e.terms)
-    heap = [(_word_key(w), w) for w in pending]
+    heap = [(_desc_key(w), w) for w in pending]
     heapq.heapify(heap)
     done: dict[tuple, Scalar] = {}
     applications = 0
@@ -1306,7 +1362,7 @@ def normalize(e: NCExpr, rules: RuleSet | None) -> NCExpr:
         applications += 1
         pos, rule = hit
         head, tail = word[:pos], word[pos + 2 :]
-        # A new word's key, _word_key(new_word), is spliced from the popped
+        # A new word's key, _desc_key(new_word), is spliced from the popped
         # word's key: the replaced atoms' part gives way to the step's.
         atoms = key[1]
         khead, ktail = atoms[:pos], atoms[pos + 2 :]
@@ -1318,7 +1374,7 @@ def normalize(e: NCExpr, rules: RuleSet | None) -> NCExpr:
                 if add:
                     pending[new_word] = add
                     heapq.heappush(
-                        heap, ((len(new_word), khead + rkey + ktail), new_word)
+                        heap, ((-len(new_word), khead + rkey + ktail), new_word)
                     )
                 continue
             add = acc + add

@@ -6,6 +6,7 @@ with the acceptance gate.
 """
 
 import importlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -708,12 +709,12 @@ def _word_order_key(word: tuple) -> tuple:
             tuple((GENERATORS.index(a.gen), a.order, int(a.inv)) for a in word))
 
 
-def _min_scan_normalize(e: NCExpr, rules: RuleSet) -> NCExpr:
+def _min_scan_normalize(e: NCExpr, rules: RuleSet, pick=min) -> NCExpr:
     """Reference normalizer: rescan the pending words for the smallest one
-    before every step."""
+    (with ``pick=max``, the largest one) before every step."""
     pending, done = dict(e.terms), {}
     while pending:
-        word = min(pending, key=_word_order_key)
+        word = pick(pending, key=_word_order_key)
         scal = pending.pop(word)
         hit = rules.find(word)
         if hit is None:
@@ -733,15 +734,19 @@ def _min_scan_normalize(e: NCExpr, rules: RuleSet) -> NCExpr:
 
 
 class _RecordingRuleSet(RuleSet):
-    """A rule set that records every word it is asked to match."""
+    """A rule set that records every word it is asked to match and counts
+    the matches, that is the rule applications."""
 
     def __init__(self, base: RuleSet):
         super().__init__(base.name, base.rules)
         self.seen = []
+        self.applications = 0
 
     def find(self, word):
         self.seen.append(word)
-        return super().find(word)
+        hit = super().find(word)
+        self.applications += hit is not None
+        return hit
 
 
 def _uphill_rules() -> RuleSet:
@@ -757,9 +762,12 @@ def _uphill_rules() -> RuleSet:
 
 
 def _assert_same_as_min_scan(e: NCExpr, rules: RuleSet) -> NCExpr:
+    """``normalize`` gives the smallest-first reference's result, and asks
+    ``find`` about the words in the largest-first reference's order."""
     heap_run, scan_run = _RecordingRuleSet(rules), _RecordingRuleSet(rules)
     got = normalize(e, heap_run)
-    assert got == _min_scan_normalize(e, scan_run)
+    assert got == _min_scan_normalize(e, rules)
+    _min_scan_normalize(e, scan_run, pick=max)
     assert heap_run.seen == scan_run.seen
     return got
 
@@ -784,6 +792,32 @@ _EXPRS = st.builds(lambda a, k, b: a ** k * b, _SUMS, st.integers(1, 3), _SUMS)
 def test_property_normalize_matches_min_scan(e, name):
     rules = _uphill_rules() if name == "uphill" else builtin_ruleset(name)
     _assert_same_as_min_scan(e, rules)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXPRS, st.sampled_from(BUILTIN_RULESET_NAMES + ("zv+vu+uu",)))
+def test_property_decreasing_sets_rewrite_each_word_once(e, name):
+    rules = _zv_vu_uu() if name == "zv+vu+uu" else builtin_ruleset(name)
+    run = _RecordingRuleSet(rules)
+    normalize(e, run)
+    assert len(set(run.seen)) == len(run.seen)
+
+
+_MIXED_SUM = "v*u*z + u*z*v*u' + 3*z*v*u*u'' - i*hbar*v'*z*u"
+
+
+@pytest.mark.parametrize("names", [
+    names for k in range(1, len(BUILTIN_RULESET_NAMES) + 1)
+    for names in itertools.combinations(BUILTIN_RULESET_NAMES, k)
+], ids="+".join)
+def test_every_rule_subset_matches_min_scan(names):
+    # 30 of these 63 subsets are not confluent, yet each word's one step
+    # (leftmost position, first rule) is fixed, so the order in which words
+    # are rewritten still cannot change the result
+    rules = combine_rulesets("+".join(names),
+                             *(builtin_ruleset(name) for name in names))
+    e = P(_MIXED_SUM)
+    assert normalize(e, rules) == _min_scan_normalize(e, rules)
 
 
 _SIGNED_COEFFS = st.sampled_from(("1", "-1", "2", "-1/2", "i", "-i", "hbar",
@@ -857,14 +891,14 @@ def test_pass_budget_error_names_word_and_counts(monkeypatch):
         normalize(P("u*z*u*z*u*z"), rs)
     err = info.value
     assert (err.ruleset, err.budget) == ("quantum-zu", 1)
-    # u*z*u*z*u*z -> z*u*u*z*u*z + (i/2)*hbar*u*u*z*u*z; the smaller
-    # second word is next, and it would need a second application.
-    assert err.word == P("u*u*z*u*z").min_word()
+    # u*z*u*z*u*z -> z*u*u*z*u*z + (i/2)*hbar*u*u*z*u*z; the larger
+    # first word is next, and it would need a second application.
+    assert err.word == P("z*u*u*z*u*z").min_word()
     assert (err.applications, err.pending) == (1, 1)
     assert str(err).startswith(
         "rewrite budget of 1 rule applications exhausted by rule set "
         "'quantum-zu' without reaching a normal form")
-    assert "rewriting u*u*z*u*z after 1 applications with 1 more words " \
+    assert "rewriting z*u*u*z*u*z after 1 applications with 1 more words " \
         "pending" in str(err)
 
 
@@ -931,9 +965,18 @@ def _zv_vu_uu() -> RuleSet:
         "quantum-zv", "commute-vu", "commute-uu")))
 
 
-def _big() -> NCExpr:
-    """3125 words that take 11 372 applications under ``_zv_vu_uu()``."""
-    return P("z + v + u + u' + v'") ** 5
+def _big(power: int = 5) -> NCExpr:
+    """``(z + v + u + u' + v')^power``.  Under ``_zv_vu_uu()`` its 3125 words
+    for power 5 take 3 021 applications, its 15 625 for power 6 take
+    16 568, more than the default budget of 10 000."""
+    return P("z + v + u + u' + v'") ** power
+
+
+def test_big_rewrites_each_word_once():
+    run = _RecordingRuleSet(_zv_vu_uu())
+    assert len(normalize(_big(), run).terms) == 640
+    assert run.applications == 3021
+    assert len(set(run.seen)) == len(run.seen)
 
 
 def test_non_decreasing_ruleset_keeps_its_budget():
@@ -950,16 +993,16 @@ def test_non_decreasing_ruleset_keeps_its_budget():
         Rule((Atom("p"), Atom("q")), P("q*p")),))
     assert not rs.decreasing
     with pytest.raises(PassBudgetExhausted) as info:
-        normalize(_big(), rs)
+        normalize(_big(6), rs)
     assert info.value.budget == DEFAULT_PASS_BUDGET
 
 
 def test_decreasing_default_budget_scales_with_input(monkeypatch):
     rs = _zv_vu_uu()
     assert rs.decreasing
-    big = _big()
-    # the default grows to terms x degree^2 = 3125 x 25
-    assert len(normalize(big, rs).terms) == 640
+    big = _big(6)
+    # the default grows to terms x degree^2 = 15 625 x 36
+    assert len(normalize(big, rs).terms) == 1850
     # a budget from the environment is taken as it is
     monkeypatch.setenv("LAXLAB_PASS_BUDGET", str(DEFAULT_PASS_BUDGET))
     with pytest.raises(PassBudgetExhausted) as info:
