@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._dop853 import solve_ivp
+from ._dop853 import MAX_NFEV_REACHED, solve_ivp
 from .ncexpr import LaxlabError
 
 POLE_THRESHOLD = 1e8
@@ -79,7 +79,8 @@ class NumericError(LaxlabError):
 
 class PoleEncountered(NumericError):
     """The trajectory left the working domain: |u| blew past the pole
-    threshold or the integrator's step size collapsed."""
+    threshold, the integrator's step size collapsed or it reached its cap
+    on evaluations."""
 
 
 def _as_matrix(value, n: int, name: str) -> np.ndarray:
@@ -333,6 +334,11 @@ def _solve(problem: ODEProblem) -> np.ndarray:
         where = sol.t_events[0][0]
         raise PoleEncountered(
             f"|u| exceeded {POLE_THRESHOLD:g} near z = {where:.6g}"
+        )
+    if sol.message is MAX_NFEV_REACHED:
+        raise PoleEncountered(
+            f"integration stopped after {sol.nfev} evaluations near "
+            f"z = {sol.t_last:.6g}"
         )
     if sol.status != 0 or sol.y.shape[1] != len(grid):
         raise PoleEncountered(f"integration stalled: {sol.message}")

@@ -9,6 +9,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -16,7 +17,7 @@ import warnings
 import pytest
 
 import laxlab
-from laxlab import cli, ncexpr, verify
+from laxlab import _dop853, cli, ncexpr, verify
 
 
 def run_cli(argv, capsys):
@@ -531,6 +532,21 @@ def test_integrate_prints_no_numpy_warning(argv, capsys):
         code, out, err = run_cli(["integrate", "pii", *argv], capsys)
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     assert code == (1 if argv[0] == "--du0" else 2)
+
+
+def test_integrate_unbounded_work_exits_one(monkeypatch, capsys):
+    # dpii3's oscillation speeds up like sqrt(z), so the run out to 1e6
+    # never ends without the cap; a lower cap keeps the test short
+    monkeypatch.setattr(_dop853, "MAX_NFEV", 2000)
+    code, out, err = run_cli(
+        ["integrate", "dpii3", "--z1", "1e6", "--u0", "0.001", "--ddu0", "0",
+         "--grid", "9"], capsys)
+    assert code == 1 and out == ""
+    match = re.fullmatch(r"error: integration stopped after (\d+) evaluations"
+                         r" near z = (\S+)\n", err)
+    assert match is not None, err
+    assert int(match[1]) >= 2000
+    assert 1 < float(match[2]) < 1e6
 
 
 def test_integrate_overflow_reports_a_stall(capsys):

@@ -190,6 +190,30 @@ def test_nan_step_size_stalls():
     assert child.stdout == "-1 2 (2, 0)\n"
 
 
+def test_evaluation_cap_stops_the_run(monkeypatch):
+    problem = ODEProblem("pii", u0=0.1, du0=0.1, z0=1.0, z1=3.0)
+
+    def run():
+        return _dop853.solve_ivp(
+            _FLOW(problem), (1.0, 3.0), numeric._pack(problem),
+            t_eval=np.linspace(1.0, 3.0, 9), rtol=problem.rtol,
+            atol=problem.atol, event=numeric._pole_event(problem))
+
+    full = run()
+    assert full.status == 0 and full.nfev == 209
+    monkeypatch.setattr(_dop853, "MAX_NFEV", 60)
+    sol = run()
+    assert sol.status == -1 and sol.message == _dop853.MAX_NFEV_REACHED
+    # the cap is checked before each step, so the last step ends past it
+    assert 60 <= sol.nfev < full.nfev
+    assert 1.0 < sol.t_last < 3.0
+    assert len(sol.t_events[0]) == 0
+    # the samples before the stop are those of the full run
+    reached = sol.y.shape[1]
+    assert reached == 1 + int((sol.t_last - 1.0) / 0.25)
+    assert sol.y.tobytes() == full.y[:, :reached].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Brent's search
 # ---------------------------------------------------------------------------
