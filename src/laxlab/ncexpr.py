@@ -311,10 +311,6 @@ class QQi:
         return body if b > 0 else f"-{body}"
 
 
-#: ``QQi._of`` bound once: the coefficient arithmetic of :class:`Scalar`
-#: builds every result through it.
-_qqi = QQi._of
-
 _QQI_ZERO = QQi(0)
 _QQI_ONE = QQi(1)
 _QQI_I = QQi(0, 1)
@@ -360,7 +356,7 @@ class Scalar:
             else:
                 a, b, d = x.a * e + y.a * d, x.b * e + y.b * d, d * e
             if a or b:
-                out[key] = _qqi(a, b, d)
+                out[key] = QQi._of(a, b, d)
             else:
                 del out[key]
         return Scalar(out)
@@ -401,7 +397,7 @@ class Scalar:
                     if not (a or b):
                         del out[key]
                         continue
-                out[key] = _qqi(a, b, d)
+                out[key] = QQi._of(a, b, d)
         return Scalar(out)
 
     def __eq__(self, other):
