@@ -335,7 +335,7 @@ def _solve(problem: ODEProblem) -> np.ndarray:
         raise PoleEncountered(
             f"|u| exceeded {POLE_THRESHOLD:g} near z = {where:.6g}"
         )
-    if sol.message is MAX_NFEV_REACHED:
+    if sol.message == MAX_NFEV_REACHED:
         raise PoleEncountered(
             f"integration stopped after {sol.nfev} evaluations near "
             f"z = {sol.t_last:.6g}"
