@@ -17,10 +17,7 @@ Exit codes are the process-level contract: 0 when every requested case is
 verified or verified-with-notes, 1 on any discrepancy, failed computation,
 exhausted memory or closed output pipe, 2 on usage errors (unknown
 selectors are rejected before any computation runs).  Identical
-invocations are byte-deterministic in json mode.  The
-``LAXLAB_PASS_BUDGET`` environment variable overrides the rewrite pass
-budget of every rule-set application; a value that is not a positive
-integer is a usage error of every command.
+invocations are byte-deterministic in json mode.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from .ncexpr import (
     NCExpr,
     builtin_ruleset,
     combine_rulesets,
-    env_pass_budget,
     normalize,
     parse as parse_expr,
 )
@@ -402,8 +398,6 @@ def build_parser(commands=tuple(_COMMANDS)) -> argparse.ArgumentParser:
         prog="laxlab",
         description="Symbolic and numeric checks for 2x2 spectral-problem "
                     "compatibility derivations.",
-        epilog="The LAXLAB_PASS_BUDGET environment variable overrides the "
-               "rewrite pass budget.",
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     for name in commands:
@@ -428,11 +422,6 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     if not hasattr(args, "func"):
         parser.print_help()
-        return 2
-    try:
-        env_pass_budget()
-    except LaxlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         code = args.func(args)

@@ -30,7 +30,6 @@ Conventions baked into the kernel:
 from __future__ import annotations
 
 import heapq
-import os
 import re
 from fractions import Fraction
 from itertools import islice
@@ -58,14 +57,13 @@ __all__ = [
     "anticommutator",
     "builtin_ruleset",
     "BUILTIN_RULESET_NAMES",
-    "DEFAULT_PASS_BUDGET",
-    "PASS_BUDGET_ENV",
-    "env_pass_budget",
+    "PASS_BUDGET",
     "DERIVATIVE_TOWER_ORDER",
 ]
 
-DEFAULT_PASS_BUDGET = 10_000
-PASS_BUDGET_ENV = "LAXLAB_PASS_BUDGET"
+#: Rule applications after which :func:`normalize` gives up.  Every rule is
+#: decreasing, so rewriting ends without it; it bounds the work of one call.
+PASS_BUDGET = 1_000_000
 #: Highest derivative order for which the generated rewrite towers carry
 #: rules.  Derivations in this package never exceed order 4; 8 leaves slack.
 DERIVATIVE_TOWER_ORDER = 8
@@ -91,7 +89,8 @@ class ContextError(LaxlabError):
 
 
 class RuleError(LaxlabError):
-    """Rejected rewrite rule (for example, one that reintroduces itself)."""
+    """Rejected rewrite rule (for example, one whose replacement is not
+    smaller than its pattern)."""
 
 
 class SubstitutionError(LaxlabError):
@@ -110,9 +109,7 @@ class PassBudgetExhausted(LaxlabError):
                  applications: int, pending: int):
         super().__init__(
             f"rewrite budget of {budget} rule applications exhausted by rule "
-            f"set {ruleset!r} without reaching a normal form; the rule set "
-            f"may be non-terminating (or raise the budget via the "
-            f"{PASS_BUDGET_ENV} environment variable); stopped while "
+            f"set {ruleset!r} without reaching a normal form; stopped while "
             f"rewriting {'*'.join(_atom_texts(word))} after {applications} "
             f"applications with {pending} more words pending"
         )
@@ -857,7 +854,7 @@ class NCExpr:
             atoms = _atom_texts(word)
             terms = scal.terms
             for key in sorted(terms):
-                sign, body = _format_term(word, key, terms[key], atoms)
+                sign, body = _format_term(key, terms[key], atoms)
                 chunks.append((" - " if sign < 0 else " + ") + body)
         text = "".join(chunks)
         return "-" + text[3:] if text[1] == "-" else text[3:]
@@ -884,14 +881,10 @@ def _atom_texts(word: tuple) -> list[str]:
     ]
 
 
-def _format_term(word: tuple, key: ExpKey, c: QQi,
-                 atoms: list[str] | None = None) -> tuple[int, str]:
+def _format_term(key: ExpKey, c: QQi, atoms: list[str]) -> tuple[int, str]:
     """Return (sign, body) for one printed monomial; body has no leading sign.
 
-    ``atoms`` is ``_atom_texts(word)``, passed by a caller that prints
-    several monomials of one word."""
-    if atoms is None:
-        atoms = _atom_texts(word)
+    ``atoms`` is ``_atom_texts(word)`` of the monomial's word."""
     l, h, a = key
     centrals: list[str] = []
     if l:
@@ -1207,37 +1200,34 @@ def parse(text: str) -> NCExpr:
 class Rule:
     """An oriented rewrite rule: an adjacent atom pair -> an expression.
 
-    Two facts are computed once, when the rule is built.  ``decreasing`` is
-    true when every word of the replacement is smaller than the pattern in
-    the canonical (shortlex) word order.  ``steps`` holds, for each term of
-    the replacement, its word, the per-atom part of the word's largest-first
-    heap key and its coefficient, given as ``None`` when it is 1:
-    :func:`normalize` splices the key part into the rewritten word's key
-    instead of recomputing it, and adds a rewritten word's coefficient as
-    it is instead of multiplying it by one.
+    Every word of the replacement must be smaller than the pattern in the
+    canonical (shortlex) word order, a well-order compatible with
+    concatenation, so every rewrite makes a word smaller and rewriting
+    ends.  ``steps`` holds, for each term of the replacement, its word, the
+    per-atom part of the word's largest-first heap key and its coefficient,
+    given as ``None`` when it is 1: :func:`normalize` splices the key part
+    into the rewritten word's key instead of recomputing it, and adds a
+    rewritten word's coefficient as it is instead of multiplying it by one.
     """
 
-    __slots__ = ("pattern", "replacement", "decreasing", "steps")
+    __slots__ = ("pattern", "replacement", "steps")
 
     def __init__(self, pattern: tuple[Atom, Atom], replacement: NCExpr):
         for atom in pattern:
             _check_atom(atom)
         key = _word_key(pattern)
-        decreasing = True
         steps = []
         for word, scal in replacement.terms.items():
-            for i in range(len(word) - 1):
-                if (word[i], word[i + 1]) == pattern:
-                    raise RuleError(
-                        "rule replacement reintroduces its own pattern: "
-                        f"{pattern!r}"
-                    )
-            decreasing = decreasing and _word_key(word) < key
+            if not _word_key(word) < key:
+                raise RuleError(
+                    f"rule replacement word {'*'.join(_atom_texts(word))} "
+                    f"is not smaller than its pattern "
+                    f"{'*'.join(_atom_texts(pattern))} in the shortlex order"
+                )
             steps.append((word, _desc_key(word)[1],
                           None if scal == _ONE else scal))
         self.pattern = pattern
         self.replacement = replacement
-        self.decreasing = decreasing
         self.steps = tuple(steps)
 
     def __eq__(self, other):
@@ -1257,16 +1247,11 @@ class RuleSet:
     Rules are applied leftmost-first: positions are scanned left to right
     and at each position the first matching rule (in registration order)
     fires.  Earlier rules take precedence when two share a pattern.
-
-    ``decreasing`` is true when every rule is (:attr:`Rule.decreasing`), so
-    that rewriting must terminate; :func:`normalize` then scales its
-    default budget with the input.
     """
 
     def __init__(self, name: str, rules: Iterable[Rule]):
         self.name = name
         self.rules = tuple(rules)
-        self.decreasing = all(rule.decreasing for rule in self.rules)
         table: dict[tuple[Atom, Atom], Rule] = {}
         for rule in self.rules:
             table.setdefault(rule.pattern, rule)
@@ -1290,24 +1275,6 @@ def combine_rulesets(name: str, *rulesets: RuleSet) -> RuleSet:
     return RuleSet(name, [rule for rs in rulesets for rule in rs.rules])
 
 
-def env_pass_budget() -> int | None:
-    """The pass budget that the LAXLAB_PASS_BUDGET environment variable
-    sets, or ``None`` when it is unset; a value that is not a positive
-    integer raises :class:`LaxlabError`."""
-    env = os.environ.get(PASS_BUDGET_ENV)
-    if env is None:
-        return None
-    try:
-        value = int(env)
-    except ValueError:
-        raise LaxlabError(
-            f"{PASS_BUDGET_ENV} must be an integer, got {env!r}"
-        ) from None
-    if value <= 0:
-        raise LaxlabError(f"{PASS_BUDGET_ENV} must be positive, got {value}")
-    return value
-
-
 def normalize(e: NCExpr, rules: RuleSet | None) -> NCExpr:
     """Rewrite to a normal form in which no rule pattern occurs.
 
@@ -1318,23 +1285,14 @@ def normalize(e: NCExpr, rules: RuleSet | None) -> NCExpr:
     words wait in a heap and are rewritten largest-first in the canonical
     word order; each word's key is computed once, when the word enters the
     pending map (a rewritten word's from the key of the word it came from).
-    A rewrite under a decreasing rule set yields only smaller words, so
-    every contribution to a word has arrived before it is rewritten, and
-    each word is rewritten once.  Every rule application counts against the
-    budget: :func:`env_pass_budget` when the variable is set, else
-    :data:`DEFAULT_PASS_BUDGET`, which for a decreasing rule set is raised
-    to terms x degree^2 of the input.  Exhausting it raises
-    :class:`PassBudgetExhausted` rather than looping forever.
+    Every rule is decreasing, so a rewrite yields only smaller words: every
+    contribution to a word has arrived before it is popped, and each word
+    is popped, and so rewritten or made final, once.  A rewrite past the
+    first :data:`PASS_BUDGET` rule applications raises
+    :class:`PassBudgetExhausted`.
     """
     if rules is None:
         return e
-    limit = env_pass_budget()
-    if limit is None:
-        limit = DEFAULT_PASS_BUDGET
-        if rules.decreasing:
-            degree = max(map(len, e.terms), default=0)
-            limit = max(limit, len(e.terms) * degree * degree)
-
     pending: dict[tuple, Scalar] = dict(e.terms)
     heap = [(_desc_key(w), w) for w in pending]
     heapq.heapify(heap)
@@ -1349,11 +1307,11 @@ def normalize(e: NCExpr, rules: RuleSet | None) -> NCExpr:
             continue
         hit = rules.find(word)
         if hit is None:
-            _add_into(done, word, scal)
+            done[word] = scal
             continue
-        if applications == limit:
+        if applications == PASS_BUDGET:
             raise PassBudgetExhausted(
-                rules.name, limit, word, applications, len(pending)
+                rules.name, PASS_BUDGET, word, applications, len(pending)
             )
         applications += 1
         pos, rule = hit

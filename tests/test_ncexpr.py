@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from laxlab import ncexpr
 from laxlab.ncexpr import (
     BUILTIN_RULESET_NAMES,
     Atom,
@@ -26,7 +27,6 @@ from laxlab.ncexpr import (
     Rule,
     RuleError,
     RuleSet,
-    DEFAULT_PASS_BUDGET,
     DERIVATIVE_TOWER_ORDER,
     GENERATORS,
     INVERTIBLE,
@@ -37,6 +37,7 @@ from laxlab.ncexpr import (
     commutator,
     normalize,
     parse,
+    _atom_texts,
     _format_term,
     _z_tower,
 )
@@ -200,7 +201,7 @@ def test_qqi_printers_match_fraction_reference():
             continue
         for word, key, tail in (((), (0, 0, 0), []),
                                 ((Atom("u"),), (0, 1, 0), ["hbar", "u"])):
-            assert _format_term(word, key, got) == format_coefficient(
+            assert _format_term(key, got, _atom_texts(word)) == format_coefficient(
                 want, tail)
 
 
@@ -676,22 +677,22 @@ def test_rule_steps_mark_unit_coefficients():
         ((Atom("z"), Atom("u")), P("2").terms[()])]
 
 
-@pytest.mark.parametrize("first", [True, False], ids=["decreasing-first",
-                                                      "uphill-first"])
+@pytest.mark.parametrize("first", [True, False], ids=["zu-first",
+                                                      "zv-first"])
 def test_combine_rulesets_matches_concatenated_rules(first):
     # the (z, u) pattern is in both sets: the first registered rule wins
-    zu = builtin_ruleset("quantum-zu")
-    dec = RuleSet("dec", zu.rules + (Rule((Atom("z"), Atom("u")), P("2*u")),))
-    assert dec.decreasing
-    sets = (dec, _uphill_rules()) if first else (_uphill_rules(), dec)
+    zu = RuleSet("zu", builtin_ruleset("quantum-zu").rules
+                 + (Rule((Atom("z"), Atom("u")), P("2*u")),))
+    zv = RuleSet("zv", builtin_ruleset("quantum-zv").rules
+                 + (Rule((Atom("z"), Atom("u")), P("hbar*v")),))
+    sets = (zu, zv) if first else (zv, zu)
     got = combine_rulesets("mixed", *sets)
     want = RuleSet("mixed", sets[0].rules + sets[1].rules)
     assert got.rules == want.rules
-    assert got.decreasing == want.decreasing is False
     for text in ("z*u", "z*v", "u*z", "v*u*z*u", "u''*z*z*v"):
         word = P(text).min_word()
         assert got.find(word) == want.find(word)
-    assert got.find(P("z*u").min_word())[1] is sets[0].rules[-1 if first else 0]
+    assert got.find(P("z*u").min_word())[1] is sets[0].rules[-1]
 
 
 def test_normalize_unit_steps_leave_the_input_unchanged():
@@ -749,18 +750,6 @@ class _RecordingRuleSet(RuleSet):
         return hit
 
 
-def _uphill_rules() -> RuleSet:
-    """Rules whose results are larger than their patterns, so a rewrite can
-    cancel a word that is still pending and a later rewrite can add it
-    again: z*u -> u*z and z*v -> u*z - hbar*v (terminating: z only moves
-    right)."""
-    z, u, v = (NCExpr.gen(g) for g in "zuv")
-    return RuleSet("uphill", (
-        Rule((Atom("z"), Atom("u")), u * z),
-        Rule((Atom("z"), Atom("v")), u * z - NCExpr.hbar() * v),
-    ))
-
-
 def _assert_same_as_min_scan(e: NCExpr, rules: RuleSet) -> NCExpr:
     """``normalize`` gives the smallest-first reference's result, and asks
     ``find`` about the words in the largest-first reference's order."""
@@ -788,10 +777,9 @@ _EXPRS = st.builds(lambda a, k, b: a ** k * b, _SUMS, st.integers(1, 3), _SUMS)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_EXPRS, st.sampled_from(BUILTIN_RULESET_NAMES + ("uphill",)))
+@given(_EXPRS, st.sampled_from(BUILTIN_RULESET_NAMES))
 def test_property_normalize_matches_min_scan(e, name):
-    rules = _uphill_rules() if name == "uphill" else builtin_ruleset(name)
-    _assert_same_as_min_scan(e, rules)
+    _assert_same_as_min_scan(e, builtin_ruleset(name))
 
 
 @settings(max_examples=300, deadline=None)
@@ -858,9 +846,11 @@ def test_property_no_zero_is_stored(e, f, name):
 
 
 def test_normalize_cancel_then_readd():
-    # z*u cancels the pending u*z; z*v then adds it back.
-    got = _assert_same_as_min_scan(P("z*u + z*v - u*z"), _uphill_rules())
-    assert got == P("u*z - hbar*v")
+    # v*z cancels the pending u; u*z then adds it back.
+    rules = combine_rulesets("zu+zv", builtin_ruleset("quantum-zu"),
+                             builtin_ruleset("quantum-zv"))
+    got = _assert_same_as_min_scan(P("u*z + v*z - (i/2)*hbar*u"), rules)
+    assert got == P("z*u + z*v + (i/2)*hbar*u")
 
 
 def test_normalize_repeated_final_word():
@@ -873,20 +863,20 @@ def test_normalize_repeated_final_word():
 
 
 def test_pass_budget_exhaustion(monkeypatch):
-    rs = builtin_ruleset("quantum-zu")
-    # u^k z^k needs many passes; a budget of 1 cannot finish
+    # a budget of exactly the applications needed finishes, one less cannot
+    run = _RecordingRuleSet(builtin_ruleset("quantum-zu"))
     e = P("u*z*u*z*u*z")
-    want = normalize(e, rs)
-    monkeypatch.setenv("LAXLAB_PASS_BUDGET", "1")
+    want = normalize(e, run)
+    monkeypatch.setattr(ncexpr, "PASS_BUDGET", run.applications - 1)
     with pytest.raises(PassBudgetExhausted):
-        normalize(e, rs)
-    monkeypatch.setenv("LAXLAB_PASS_BUDGET", str(DEFAULT_PASS_BUDGET))
-    assert normalize(e, rs) == want
+        normalize(e, run)
+    monkeypatch.setattr(ncexpr, "PASS_BUDGET", run.applications)
+    assert normalize(e, run) == want
 
 
 def test_pass_budget_error_names_word_and_counts(monkeypatch):
     rs = builtin_ruleset("quantum-zu")
-    monkeypatch.setenv("LAXLAB_PASS_BUDGET", "1")
+    monkeypatch.setattr(ncexpr, "PASS_BUDGET", 1)
     with pytest.raises(PassBudgetExhausted) as info:
         normalize(P("u*z*u*z*u*z"), rs)
     err = info.value
@@ -902,34 +892,34 @@ def test_pass_budget_error_names_word_and_counts(monkeypatch):
         "pending" in str(err)
 
 
-def test_pass_budget_env_override(monkeypatch):
-    rs = builtin_ruleset("quantum-zu")
-    e = P("u*z*u*z*u*z")
-    monkeypatch.setenv("LAXLAB_PASS_BUDGET", "1")
-    with pytest.raises(PassBudgetExhausted):
-        normalize(e, rs)
-    monkeypatch.setenv("LAXLAB_PASS_BUDGET", "100000")
-    assert not normalize(e, rs).is_zero
-    monkeypatch.setenv("LAXLAB_PASS_BUDGET", "zero")
-    with pytest.raises(LaxlabError):
-        normalize(e, rs)
-    monkeypatch.setenv("LAXLAB_PASS_BUDGET", "-3")
-    with pytest.raises(LaxlabError):
-        normalize(e, rs)
-
-
 def test_hand_built_ruleset():
     z = NCExpr.gen("z")
     u = NCExpr.gen("u")
     rs = RuleSet("swap-uz", (Rule((Atom("u"), Atom("z")), z * u),))
     assert normalize(P("u*z"), rs) == P("z*u")
-    assert rs.decreasing
 
 
 def test_rule_rejects_replacement_that_reintroduces_its_pattern():
     with pytest.raises(RuleError) as info:
         Rule((Atom("u"), Atom("z")), P("z*u + 2*v*u*z"))
-    assert "reintroduces its own pattern" in str(info.value)
+    assert str(info.value) == (
+        "rule replacement word v*u*z is not smaller than its pattern u*z "
+        "in the shortlex order")
+
+
+@pytest.mark.parametrize("pattern, text, word", [
+    ((Atom("z"), Atom("u")), "u*z", "u*z"),
+    ((Atom("u"), Atom("z")), "z*u + u*z", "u*z"),
+    ((Atom("u"), Atom("z")), "hbar*u*z*z", "u*z*z"),
+], ids=["larger", "equal", "longer"])
+def test_rule_rejects_replacement_not_smaller_than_pattern(pattern, text,
+                                                           word):
+    with pytest.raises(RuleError) as info:
+        Rule(pattern, P(text))
+    pat = "*".join(_atom_texts(pattern))
+    assert str(info.value) == (
+        f"rule replacement word {word} is not smaller than its pattern {pat} "
+        "in the shortlex order")
 
 
 @pytest.mark.parametrize("pattern, message", [
@@ -957,7 +947,10 @@ def test_rules_with_equal_fields_compare_equal():
 
 @pytest.mark.parametrize("name", BUILTIN_RULESET_NAMES)
 def test_builtin_rulesets_are_decreasing(name):
-    assert builtin_ruleset(name).decreasing
+    # checked with this module's own word order, not the kernel's
+    for rule in builtin_ruleset(name).rules:
+        for word in rule.replacement.terms:
+            assert _word_order_key(word) < _word_order_key(rule.pattern)
 
 
 def _zv_vu_uu() -> RuleSet:
@@ -968,7 +961,7 @@ def _zv_vu_uu() -> RuleSet:
 def _big(power: int = 5) -> NCExpr:
     """``(z + v + u + u' + v')^power``.  Under ``_zv_vu_uu()`` its 3125 words
     for power 5 take 3 021 applications, its 15 625 for power 6 take
-    16 568, more than the default budget of 10 000."""
+    16 568."""
     return P("z + v + u + u' + v'") ** power
 
 
@@ -979,35 +972,11 @@ def test_big_rewrites_each_word_once():
     assert len(set(run.seen)) == len(run.seen)
 
 
-def test_non_decreasing_ruleset_keeps_its_budget():
-    uphill = _uphill_rules()
-    assert not uphill.decreasing
-    # one decreasing rule next to an uphill one does not make a set decreasing
-    z, u = NCExpr.gen("z"), NCExpr.gen("u")
-    mixed = RuleSet("mixed", (Rule((Atom("u"), Atom("z")), z * u),
-                              uphill.rules[0]))
-    assert [rule.decreasing for rule in mixed.rules] == [True, False]
-    assert not mixed.decreasing
-    # an uphill rule that never fires keeps the default budget unscaled
-    rs = RuleSet("zv+vu+uu+pq", _zv_vu_uu().rules + (
-        Rule((Atom("p"), Atom("q")), P("q*p")),))
-    assert not rs.decreasing
-    with pytest.raises(PassBudgetExhausted) as info:
-        normalize(_big(6), rs)
-    assert info.value.budget == DEFAULT_PASS_BUDGET
-
-
-def test_decreasing_default_budget_scales_with_input(monkeypatch):
-    rs = _zv_vu_uu()
-    assert rs.decreasing
-    big = _big(6)
-    # the default grows to terms x degree^2 = 15 625 x 36
-    assert len(normalize(big, rs).terms) == 1850
-    # a budget from the environment is taken as it is
-    monkeypatch.setenv("LAXLAB_PASS_BUDGET", str(DEFAULT_PASS_BUDGET))
-    with pytest.raises(PassBudgetExhausted) as info:
-        normalize(big, rs)
-    assert info.value.budget == DEFAULT_PASS_BUDGET
+def test_big6_normalizes_under_the_fixed_cap():
+    run = _RecordingRuleSet(_zv_vu_uu())
+    assert len(normalize(_big(6), run).terms) == 1850
+    assert run.applications == 16568 < ncexpr.PASS_BUDGET
+    assert len(set(run.seen)) == len(run.seen)
 
 
 def test_commutator_helpers_match_methods():
