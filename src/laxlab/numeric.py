@@ -8,20 +8,22 @@ are differenced with high-order central stencils and compared against the
 right-hand side.  The audit is computed over the whole grid at once: one
 matrix product per stencil, one right-hand-side evaluation per residual.
 
-Conventions (matching the symbolic catalog):
+Conventions: each flow solves one catalog entry, named here with the sign
+its alpha takes in that entry, as ``tests/test_numeric.py`` checks.
 
-* ``pii`` / ``matrix-pii``:  u'' = 2*u^3 - z*u + alpha   (pii-classical)
-* ``p34``:                   u'' = 2*u^3 + z*u - alpha   (the convention under
-  which the map p = u^2 + u' + z/2 closes onto the second-order p-equation)
-* ``dpii3``:                 u''' = 2*(u'*u^2 + u*u'*u + u^2*u') - u/3 - z*u'/3
-  (the z-derivative of the first integral u'' - 2*u^3 + z*u/3; for n >= 2
-  not the catalog's ``dmpii``, which it matches only when u commutes with
-  its derivatives)
+* ``pii``:         u'' = 2*u^3 - z*u + alpha, ``pii-classical``, same alpha
+* ``matrix-pii``:  u'' = 2*u^3 - z*u + alpha, ``matrix-pii-target``, same
+  alpha
+* ``p34``:         u'' = 2*u^3 + z*u - alpha, ``pii-classical-derived``
+  (u'' = 2*u^3 + z*u + alpha) with alpha negated: the convention under
+  which the map p = u^2 + u' + z/2 closes onto the second-order p-equation
+* ``dpii3``:       u''' = 2*(u'*u^2 + u*u'*u + u^2*u') - u/3 - z*u'/3, the
+  z-derivative of the first integral u'' - 2*u^3 + z*u/3, which has no
+  alpha: ``dpii-scalar`` at n = 1.  For n >= 2 it is not the catalog's
+  ``dmpii``, which it matches only when u commutes with its derivatives.
 
 Matrix powers are ordered products; the scalar coefficient z multiplies
 entrywise, which is the scalar image of the anticommutator (1/2)*[z, u]_+.
-The ``p34`` alpha has the sign opposite to the one in
-``pii-classical-derived`` (u'' = 2*u^3 + z*u + alpha).
 
 At n = 1, the scalar flows, the right-hand side runs on Python ``complex``
 numbers instead of 1 x 1 arrays: there each numpy call costs far more

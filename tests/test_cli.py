@@ -279,8 +279,7 @@ def test_reduce_key_failure_prints_one_error_line(monkeypatch, capsys):
 
 
 def test_reduce_needing_many_applications_exits_zero(capsys):
-    # 12 869 rule applications: more than the budget of 10 000 that an
-    # earlier kernel stopped at
+    # needs 12 869 rule applications
     code, out, err = run_cli(["reduce", "--expr", "v^8*z^8", "--rules",
                               "quantum-zv"], capsys)
     assert code == 0 and err == ""
@@ -288,7 +287,7 @@ def test_reduce_needing_many_applications_exits_zero(capsys):
 
 
 def test_pass_budget_variable_is_ignored(monkeypatch, capsys):
-    # no environment variable sets the budget any more
+    # the budget is a module constant that no environment variable sets
     monkeypatch.setenv("LAXLAB_PASS_BUDGET", "abc")
     assert run_cli(["reduce", "--expr", "u"], capsys) == (0, "u\n", "")
 
