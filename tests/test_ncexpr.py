@@ -201,8 +201,8 @@ def test_qqi_printers_match_fraction_reference():
             continue
         for word, key, tail in (((), (0, 0, 0), []),
                                 ((Atom("u"),), (0, 1, 0), ["hbar", "u"])):
-            assert _format_term(key, got, _atom_texts(word)) == format_coefficient(
-                want, tail)
+            assert _format_term(key, got, _atom_texts(word)) == \
+                format_coefficient(want, tail)
 
 
 def test_scalar_macros():
