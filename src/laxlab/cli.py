@@ -28,7 +28,6 @@ import sys
 
 from .ncexpr import (
     BUILTIN_RULESET_NAMES,
-    DERIVATIVE_TOWER_ORDER,
     LaxlabError,
     NCExpr,
     builtin_ruleset,
@@ -53,26 +52,6 @@ def _ruleset(names):
     return sets[0] if len(sets) == 1 else combine_rulesets(
         "+".join(names), *sets
     )
-
-
-#: The rule sets that carry rules for the derivatives of u and v only up to
-#: DERIVATIVE_TOWER_ORDER: a higher derivative would stay unrewritten.
-_TOWER_SETS = frozenset({"quantum-zv", "quantum-zu", "commute-vu",
-                         "commute-uu"})
-
-
-def _check_tower_orders(e: NCExpr, towers: str) -> None:
-    """Reject a u or v atom above the derivative order that the rule sets
-    ``towers`` carry rules for."""
-    for word in e.terms:
-        for atom in word:
-            if atom.order > DERIVATIVE_TOWER_ORDER and atom.gen in ("u", "v"):
-                text = atom.gen + "'" * atom.order
-                raise LaxlabError(
-                    f"{text}: derivative order {atom.order} is above "
-                    f"{DERIVATIVE_TOWER_ORDER}, the highest that the rules "
-                    f"of {towers} cover"
-                )
 
 
 def _cmd_verify(args) -> int:
@@ -139,13 +118,10 @@ def _cmd_reduce(args) -> int:
     elif args.v_zero:
         subs = {"v": NCExpr.zero()}
     rules = _ruleset(args.rules)
-    towers = "+".join(n for n in args.rules or () if n in _TOWER_SETS)
 
     def reduce_expr(e: NCExpr) -> NCExpr:
         if subs is not None:
             e = e.substitute(subs)
-        if towers:
-            _check_tower_orders(e, towers)
         if args.hbar_zero:
             e = e.classical_limit()
         if rules is not None:

@@ -58,15 +58,11 @@ __all__ = [
     "builtin_ruleset",
     "BUILTIN_RULESET_NAMES",
     "PASS_BUDGET",
-    "DERIVATIVE_TOWER_ORDER",
 ]
 
 #: Rule applications after which :func:`normalize` gives up.  Every rule is
 #: decreasing, so rewriting ends without it; it bounds the work of one call.
 PASS_BUDGET = 1_000_000
-#: Highest derivative order for which the generated rewrite towers carry
-#: rules.  Derivations in this package never exceed order 4; 8 leaves slack.
-DERIVATIVE_TOWER_ORDER = 8
 
 
 class LaxlabError(Exception):
@@ -1208,6 +1204,8 @@ class Rule:
     given as ``None`` when it is 1: :func:`normalize` splices the key part
     into the rewritten word's key instead of recomputing it, and adds a
     rewritten word's coefficient as it is instead of multiplying it by one.
+    Called with an atom pair, a rule is the one-pattern rule source of a
+    :class:`RuleSet`.
     """
 
     __slots__ = ("pattern", "replacement", "steps")
@@ -1230,6 +1228,9 @@ class Rule:
         self.replacement = replacement
         self.steps = tuple(steps)
 
+    def __call__(self, pair: tuple[Atom, Atom]) -> "Rule | None":
+        return self if pair == self.pattern else None
+
     def __eq__(self, other):
         if not isinstance(other, Rule):
             return NotImplemented
@@ -1242,37 +1243,50 @@ class Rule:
 
 
 class RuleSet:
-    """A named, ordered list of rewrite rules.
+    """A named, ordered tuple of rule sources.
 
-    Rules are applied leftmost-first: positions are scanned left to right
-    and at each position the first matching rule (in registration order)
-    fires.  Earlier rules take precedence when two share a pattern.
+    A rule source maps an adjacent atom pair to the :class:`Rule` that
+    rewrites it, or to ``None``.  A :class:`Rule` is the source of its own
+    pattern.  A rule family, such as a derivative tower, is a function that
+    builds the rule for a pair from the derivative orders of its atoms, so
+    it covers every order; each rule it builds passes the decreasing check
+    of :class:`Rule` as it is built.
+
+    Rules are applied leftmost-first: positions are scanned left to right,
+    and at each position the rule of the first source, in registration
+    order, that covers the atom pair there fires.  Earlier sources take
+    precedence when two cover the same pair.  The rule found for a pair,
+    or that there is none, is kept, so the sources are asked once per pair.
     """
 
-    def __init__(self, name: str, rules: Iterable[Rule]):
+    def __init__(self, name: str,
+                 sources: Iterable[Callable[[tuple], Rule | None]]):
         self.name = name
-        self.rules = tuple(rules)
-        table: dict[tuple[Atom, Atom], Rule] = {}
-        for rule in self.rules:
-            table.setdefault(rule.pattern, rule)
-        self._table = table
+        self.sources = tuple(sources)
+        self._table: dict[tuple[Atom, Atom], Rule | None] = {}
 
     def find(self, word: tuple) -> tuple[int, Rule] | None:
         table = self._table
         for pos in range(len(word) - 1):
-            rule = table.get((word[pos], word[pos + 1]))
+            pair = word[pos], word[pos + 1]
+            try:
+                rule = table[pair]
+            except KeyError:
+                rule = table[pair] = next(
+                    filter(None, (source(pair) for source in self.sources)),
+                    None)
             if rule is not None:
                 return pos, rule
         return None
 
     def __repr__(self):
-        return f"RuleSet({self.name!r}, {len(self.rules)} rules)"
+        return f"RuleSet({self.name!r}, {len(self.sources)} sources)"
 
 
 def combine_rulesets(name: str, *rulesets: RuleSet) -> RuleSet:
     if not rulesets:
         raise RuleError("no rule sets to combine")
-    return RuleSet(name, [rule for rs in rulesets for rule in rs.rules])
+    return RuleSet(name, [src for rs in rulesets for src in rs.sources])
 
 
 def normalize(e: NCExpr, rules: RuleSet | None) -> NCExpr:
@@ -1356,22 +1370,26 @@ def anticommutator(a: NCExpr, b: NCExpr) -> NCExpr:
 # Built-in rule sets
 # ---------------------------------------------------------------------------
 
-# The tower rules are written out as term maps, in the term order that
-# their algebraic definitions (products and sums of generators) give.
+# A family writes its replacement out as a term map, in the term order that
+# its algebraic definition (products and sums of generators) gives.
+
+_Z = Atom("z")
 
 
 def _z_tower(name: str, gen: str, sign: int) -> RuleSet:
     """The rules x^(k) * z -> z * x^(k) + sign*(i/2)*hbar*u^(k) for
-    x = ``gen`` and k = 0 .. DERIVATIVE_TOWER_ORDER: normal ordering that
-    pushes z leftward past every derivative of one generator."""
-    z = Atom("z", 0)
+    x = ``gen`` and every derivative order k: normal ordering that pushes z
+    leftward past every derivative of one generator."""
     half = _mono((0, 1, 0), QQi(0, Fraction(sign, 2)))
-    rules = []
-    for k in range(DERIVATIVE_TOWER_ORDER + 1):
-        x = Atom(gen, k)
-        repl = NCExpr._of({(z, x): _ONE, (Atom("u", k),): half})
-        rules.append(Rule((x, z), repl))
-    return RuleSet(name, rules)
+
+    def family(pair: tuple[Atom, Atom]) -> Rule | None:
+        x, z = pair
+        if x.gen != gen or z != _Z:
+            return None
+        return Rule(pair, NCExpr._of({(z, x): _ONE,
+                                      (Atom("u", x.order),): half}))
+
+    return RuleSet(name, (family,))
 
 
 def quantum_zv_rules() -> RuleSet:
@@ -1402,26 +1420,30 @@ def inverse_rules() -> RuleSet:
     return RuleSet("inverse-pq", rules)
 
 
+def _commute_vu(pair: tuple[Atom, Atom]) -> Rule | None:
+    v, u = pair
+    if v.gen != "v" or u.gen != "u":
+        return None
+    return Rule(pair, NCExpr._of({(u, v): _ONE}))
+
+
+def _commute_uu(pair: tuple[Atom, Atom]) -> Rule | None:
+    high, low = pair
+    if high.gen != "u" or low.gen != "u" or high.order <= low.order:
+        return None
+    return Rule(pair, NCExpr._of({(low, high): _ONE}))
+
+
 def commute_vu_rules() -> RuleSet:
-    """Let v and all its derivatives commute past u and all its derivatives."""
-    rules = []
-    for j in range(DERIVATIVE_TOWER_ORDER + 1):
-        v = Atom("v", j)
-        for k in range(DERIVATIVE_TOWER_ORDER + 1):
-            u = Atom("u", k)
-            rules.append(Rule((v, u), NCExpr._of({(u, v): _ONE})))
-    return RuleSet("commute-vu", rules)
+    """Let v and all its derivatives commute past u and all its derivatives:
+    v^(j) * u^(k) -> u^(k) * v^(j)."""
+    return RuleSet("commute-vu", (_commute_vu,))
 
 
 def commute_uu_rules() -> RuleSet:
-    """Let u commute with its own derivatives (sorted by order)."""
-    rules = []
-    for j in range(DERIVATIVE_TOWER_ORDER + 1):
-        high = Atom("u", j)
-        for k in range(j):
-            low = Atom("u", k)
-            rules.append(Rule((high, low), NCExpr._of({(low, high): _ONE})))
-    return RuleSet("commute-uu", rules)
+    """Let u commute with its own derivatives, sorted by order:
+    u^(j) * u^(k) -> u^(k) * u^(j) for j > k."""
+    return RuleSet("commute-uu", (_commute_uu,))
 
 
 def weyl_pii_rules() -> RuleSet:

@@ -27,7 +27,6 @@ from laxlab.ncexpr import (
     Rule,
     RuleError,
     RuleSet,
-    DERIVATIVE_TOWER_ORDER,
     GENERATORS,
     INVERTIBLE,
     Scalar,
@@ -473,18 +472,33 @@ def test_d_dlambda_ignores_letters():
     assert P("lam^2*hbar*v").d_dlambda() == P("2*lam*hbar*v")
 
 
+_ORDERS = oracles.RULE_ORDERS
+
+
+def _rules_found(rs: RuleSet) -> dict:
+    """The rule that ``rs`` applies to each pair of ``oracles.RULE_ATOMS``,
+    by pattern; pairs without a rule are left out."""
+    found = {}
+    for pair in itertools.product(oracles.RULE_ATOMS, repeat=2):
+        hit = rs.find(pair)
+        if hit is not None:
+            assert hit[0] == 0 and hit[1].pattern == pair
+            found[pair] = hit[1]
+    return found
+
+
 def test_derivative_tower_covers_working_orders():
-    assert DERIVATIVE_TOWER_ORDER >= 4
     rs = builtin_ruleset("quantum-zu")
-    uk = NCExpr.gen("u", DERIVATIVE_TOWER_ORDER)
-    moved = normalize(uk * P("z"), rs)
-    assert moved == P("z") * uk + P("(i/2)*hbar") * uk
+    for k in _ORDERS:
+        uk = NCExpr.gen("u", k)
+        moved = normalize(uk * P("z"), rs)
+        assert moved == P("z") * uk + P("(i/2)*hbar") * uk
 
 
 def test_z_towers_equal_hand_written_rules():
     """quantum-zv, quantum-zu and the sign-flipped quantum-zu twin of the
     case-ii negative control hold exactly the rules
-    x^(k)*z -> z*x^(k) +/- (i/2)*hbar*u^(k), k = 0..8, in that order."""
+    x^(k)*z -> z*x^(k) +/- (i/2)*hbar*u^(k), k = 0, 1, 2, ..."""
     towers = (
         (builtin_ruleset("quantum-zv"), "quantum-zv", "v", "+"),
         (builtin_ruleset("quantum-zu"), "quantum-zu", "u", "+"),
@@ -493,12 +507,33 @@ def test_z_towers_equal_hand_written_rules():
     )
     for rs, name, x, sign in towers:
         assert rs.name == name
-        assert len(rs.rules) == 9
-        for k, rule in zip(range(9), rs.rules):
+        found = _rules_found(rs)
+        assert list(found) == [(Atom(x, k), Atom("z")) for k in _ORDERS]
+        for k, rule in zip(_ORDERS, found.values()):
             primes = "'" * k
-            assert rule.pattern == (Atom(x, k), Atom("z", 0))
             assert rule.replacement == P(
                 f"z*{x}{primes} {sign} (i/2)*hbar*u{primes}")
+
+
+def test_rule_families_reduce_above_order_eight():
+    zu = builtin_ruleset("quantum-zu")
+    got = normalize((P("u''''''''") * P("z")).d_dz(), zu)
+    assert got == P("u'''''''' + z*u''''''''' + (i/2)*hbar*u'''''''''")
+    assert all(zu.find(word) is None for word in got.terms)
+    u9 = P("u'''''''''")
+    assert normalize(u9 * P("z") - P("z") * u9, zu) == P("(i/2)*hbar") * u9
+    v10, u12, u3 = NCExpr.gen("v", 10), NCExpr.gen("u", 12), P("u'''")
+    assert normalize(v10 * u12, builtin_ruleset("commute-vu")) == u12 * v10
+    assert normalize(u12 * u3, builtin_ruleset("commute-uu")) == u3 * u12
+
+
+def test_find_keeps_the_rule_it_builds():
+    rs = builtin_ruleset("commute-vu")
+    word = (Atom("v", 10), Atom("u", 12))
+    first = rs.find(word)
+    assert first is not None and rs.find(word)[1] is first[1]
+    assert rs.find((Atom("u"), Atom("v"))) is None
+    assert rs.find((Atom("u"), Atom("v"))) is None
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +632,7 @@ def test_builtin_ruleset_names_complete():
         "commute-uu", "weyl-pii",
     }
     for name in BUILTIN_RULESET_NAMES:
-        assert builtin_ruleset(name).rules
+        assert builtin_ruleset(name).sources
 
 
 def test_unknown_ruleset_rejected():
@@ -630,8 +665,9 @@ def test_combine_rulesets():
 
 
 def _algebraic_rules(name: str) -> list:
-    """The built-in rules of ``name``, written with generator arithmetic."""
-    g, tower = NCExpr.gen, range(DERIVATIVE_TOWER_ORDER + 1)
+    """The built-in rules of ``name`` on ``oracles.RULE_ATOMS``, written
+    with generator arithmetic."""
+    g, tower = NCExpr.gen, _ORDERS
     z, hbar = g("z"), NCExpr.hbar()
     if name in ("quantum-zv", "quantum-zu"):
         x, half = name[-1], P("i/2") * hbar
@@ -655,9 +691,13 @@ def _algebraic_rules(name: str) -> list:
 
 @pytest.mark.parametrize("name", BUILTIN_RULESET_NAMES)
 def test_builtin_rules_equal_their_algebraic_definitions(name):
-    got, want = builtin_ruleset(name).rules, tuple(_algebraic_rules(name))
-    assert got == want
-    for a, b in zip(got, want):
+    rs, want = builtin_ruleset(name), _algebraic_rules(name)
+    if name in ("inverse-pq", "weyl-pii"):
+        assert rs.sources == tuple(want)
+    got = _rules_found(rs)
+    assert got == {rule.pattern: rule for rule in want}
+    for b in want:
+        a = got[b.pattern]
         assert list(a.replacement.terms) == list(b.replacement.terms)
         assert [list(s.terms) for s in a.replacement.terms.values()] == \
             [list(s.terms) for s in b.replacement.terms.values()]
@@ -668,31 +708,49 @@ def _steps(rule: Rule) -> list:
 
 
 def test_rule_steps_mark_unit_coefficients():
-    vu = builtin_ruleset("commute-vu").rules[0]
-    assert _steps(vu) == [((Atom("u"), Atom("v")), None)]
-    zv = builtin_ruleset("quantum-zv").rules[0]
-    assert _steps(zv) == [((Atom("z"), Atom("v")), None),
-                          ((Atom("u"),), P("i/2*hbar").terms[()])]
+    vu, zv = builtin_ruleset("commute-vu"), builtin_ruleset("quantum-zv")
+    for k in (0, 12):
+        u, v, z = Atom("u", k), Atom("v", k), Atom("z")
+        assert _steps(vu.find((v, u))[1]) == [((u, v), None)]
+        assert _steps(zv.find((v, z))[1]) == [
+            ((z, v), None), ((u,), P("i/2*hbar").terms[()])]
     assert _steps(Rule((Atom("u"), Atom("z")), P("2*z*u"))) == [
         ((Atom("z"), Atom("u")), P("2").terms[()])]
 
 
-@pytest.mark.parametrize("first", [True, False], ids=["zu-first",
-                                                      "zv-first"])
-def test_combine_rulesets_matches_concatenated_rules(first):
-    # the (z, u) pattern is in both sets: the first registered rule wins
-    zu = RuleSet("zu", builtin_ruleset("quantum-zu").rules
-                 + (Rule((Atom("z"), Atom("u")), P("2*u")),))
-    zv = RuleSet("zv", builtin_ruleset("quantum-zv").rules
-                 + (Rule((Atom("z"), Atom("u")), P("hbar*v")),))
-    sets = (zu, zv) if first else (zv, zu)
+def _explicit_pair():
+    # the (z, u) pattern has an explicit rule in both sets
+    return (RuleSet("zu", builtin_ruleset("quantum-zu").sources
+                    + (Rule((Atom("z"), Atom("u")), P("2*u")),)),
+            RuleSet("zv", builtin_ruleset("quantum-zv").sources
+                    + (Rule((Atom("z"), Atom("u")), P("hbar*v")),)))
+
+
+def _family_and_rule():
+    # the (u^(3), z) pattern has a rule in the quantum-zu family and an
+    # explicit one
+    u3, z = NCExpr.gen("u", 3), NCExpr.gen("z")
+    return (builtin_ruleset("quantum-zu"),
+            RuleSet("u3z", (Rule((Atom("u", 3), Atom("z")), z * u3),)))
+
+
+@pytest.mark.parametrize("make, first, shared", [
+    (_explicit_pair, True, "z*u"), (_explicit_pair, False, "z*u"),
+    (_family_and_rule, True, "u'''*z"), (_family_and_rule, False, "u'''*z"),
+], ids=["zu-first", "zv-first", "family-first", "rule-first"])
+def test_combine_rulesets_matches_concatenated_rules(make, first, shared):
+    # the pattern ``shared`` is in both sets: the first registered rule wins
+    sets = make() if first else make()[::-1]
     got = combine_rulesets("mixed", *sets)
-    want = RuleSet("mixed", sets[0].rules + sets[1].rules)
-    assert got.rules == want.rules
-    for text in ("z*u", "z*v", "u*z", "v*u*z*u", "u''*z*z*v"):
+    want = RuleSet("mixed", sets[0].sources + sets[1].sources)
+    assert got.sources == want.sources
+    for text in ("z*u", "z*v", "u*z", "v*u*z*u", "u''*z*z*v", "u'''*z",
+                 "v*u'''*z"):
         word = P(text).min_word()
         assert got.find(word) == want.find(word)
-    assert got.find(P("z*u").min_word())[1] is sets[0].rules[-1]
+    word = P(shared).min_word()
+    assert got.find(word)[1] == sets[0].find(word)[1]
+    assert got.find(word)[1] != sets[1].find(word)[1]
 
 
 def test_normalize_unit_steps_leave_the_input_unchanged():
@@ -739,7 +797,7 @@ class _RecordingRuleSet(RuleSet):
     the matches, that is the rule applications."""
 
     def __init__(self, base: RuleSet):
-        super().__init__(base.name, base.rules)
+        super().__init__(base.name, base.sources)
         self.seen = []
         self.applications = 0
 
@@ -791,7 +849,8 @@ def test_property_decreasing_sets_rewrite_each_word_once(e, name):
     assert len(set(run.seen)) == len(run.seen)
 
 
-_MIXED_SUM = "v*u*z + u*z*v*u' + 3*z*v*u*u'' - i*hbar*v'*z*u"
+_MIXED_SUM = ("v*u*z + u*z*v*u' + 3*z*v*u*u'' - i*hbar*v'*z*u"
+              " + 2*v*u'*z*u")
 
 
 @pytest.mark.parametrize("names", [
@@ -948,7 +1007,7 @@ def test_rules_with_equal_fields_compare_equal():
 @pytest.mark.parametrize("name", BUILTIN_RULESET_NAMES)
 def test_builtin_rulesets_are_decreasing(name):
     # checked with this module's own word order, not the kernel's
-    for rule in builtin_ruleset(name).rules:
+    for rule in _rules_found(builtin_ruleset(name)).values():
         for word in rule.replacement.terms:
             assert _word_order_key(word) < _word_order_key(rule.pattern)
 
