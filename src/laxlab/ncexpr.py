@@ -466,16 +466,13 @@ def _check_atom(atom: Atom) -> None:
 
 
 def _word_key(word: tuple) -> tuple:
-    try:
-        return (len(word), tuple((_RANK[a.gen], a.order, 1 if a.inv else 0)
-                                 for a in word))
-    except KeyError as exc:
-        raise ContextError(f"undeclared generator {exc.args[0]!r}") from None
+    """The canonical (shortlex) word order; atoms are checked when built."""
+    return (len(word), tuple((_RANK[a.gen], a.order, 1 if a.inv else 0)
+                             for a in word))
 
 
 def _desc_key(word: tuple) -> tuple:
-    """``_word_key`` with every int negated: it sorts words largest-first.
-    ``word`` holds declared generators only."""
+    """``_word_key`` with every int negated: it sorts words largest-first."""
     return (-len(word), tuple((-_RANK[a.gen], -a.order, -a.inv) for a in word))
 
 
@@ -1199,11 +1196,9 @@ class Rule:
     Every word of the replacement must be smaller than the pattern in the
     canonical (shortlex) word order, a well-order compatible with
     concatenation, so every rewrite makes a word smaller and rewriting
-    ends.  ``steps`` holds, for each term of the replacement, its word, the
-    per-atom part of the word's largest-first heap key and its coefficient,
-    given as ``None`` when it is 1: :func:`normalize` splices the key part
-    into the rewritten word's key instead of recomputing it, and adds a
-    rewritten word's coefficient as it is instead of multiplying it by one.
+    ends.  ``steps`` holds, for each term of the replacement, its word and
+    its coefficient, given as ``None`` when it is 1: :func:`normalize` adds
+    a rewritten word's coefficient as it is instead of multiplying it by one.
     Called with an atom pair, a rule is the one-pattern rule source of a
     :class:`RuleSet`.
     """
@@ -1222,8 +1217,7 @@ class Rule:
                     f"is not smaller than its pattern "
                     f"{'*'.join(_atom_texts(pattern))} in the shortlex order"
                 )
-            steps.append((word, _desc_key(word)[1],
-                          None if scal == _ONE else scal))
+            steps.append((word, None if scal == _ONE else scal))
         self.pattern = pattern
         self.replacement = replacement
         self.steps = tuple(steps)
@@ -1298,7 +1292,7 @@ def normalize(e: NCExpr, rules: RuleSet | None) -> NCExpr:
     words are rewritten changes the work done, never the result.  Pending
     words wait in a heap and are rewritten largest-first in the canonical
     word order; each word's key is computed once, when the word enters the
-    pending map (a rewritten word's from the key of the word it came from).
+    pending map.
     Every rule is decreasing, so a rewrite yields only smaller words: every
     contribution to a word has arrived before it is popped, and each word
     is popped, and so rewritten or made final, once.  A rewrite past the
@@ -1313,7 +1307,7 @@ def normalize(e: NCExpr, rules: RuleSet | None) -> NCExpr:
     done: dict[tuple, Scalar] = {}
     applications = 0
     while heap:
-        key, word = heapq.heappop(heap)
+        word = heapq.heappop(heap)[1]
         # A word whose coefficient cancelled, or that was already popped
         # through a second heap entry, is no longer pending: skip it.
         scal = pending.pop(word, None)
@@ -1330,20 +1324,14 @@ def normalize(e: NCExpr, rules: RuleSet | None) -> NCExpr:
         applications += 1
         pos, rule = hit
         head, tail = word[:pos], word[pos + 2 :]
-        # A new word's key, _desc_key(new_word), is spliced from the popped
-        # word's key: the replaced atoms' part gives way to the step's.
-        atoms = key[1]
-        khead, ktail = atoms[:pos], atoms[pos + 2 :]
-        for rword, rkey, rscal in rule.steps:
+        for rword, rscal in rule.steps:
             new_word = head + rword + tail
             add = scal if rscal is None else scal * rscal
             acc = pending.get(new_word)
             if acc is None:
                 if add:
                     pending[new_word] = add
-                    heapq.heappush(
-                        heap, ((-len(new_word), khead + rkey + ktail), new_word)
-                    )
+                    heapq.heappush(heap, (_desc_key(new_word), new_word))
                 continue
             add = acc + add
             if add:

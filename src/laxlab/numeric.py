@@ -49,7 +49,6 @@ The integrator is DOP853 from ``_dop853``, a numpy-only port.
 from __future__ import annotations
 
 import cmath
-import csv
 import io
 import math
 import sys
@@ -439,14 +438,13 @@ class Trajectory:
         names = ["u", "du", "ddu"][: self.states.shape[1]]
         n = self.problem.n
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
         header = ["z"]
         for name in names:
             for r in range(n):
                 for c in range(n):
                     header += [f"{name}_re_{r}_{c}", f"{name}_im_{r}_{c}"]
         header.append("fd_residual")
-        writer.writerow(header)
+        out.write(",".join(header) + "\n")
         # Re and Im of every entry, interleaved, one row per grid point
         states = self.states.reshape(len(self.grid), -1)
         values = np.stack((states.real, states.imag), axis=-1)

@@ -62,6 +62,17 @@ def _up() -> NCExpr:
     return NCExpr.gen("u", 1)
 
 
+def _qp34_defs() -> dict[str, NCExpr]:
+    """The substitution for p and q that catalog entry qp34-defs defines."""
+    eqs = catalog.build("qp34-defs").equations
+    return {name: NCExpr.gen(name) - eq for name, eq in zip("pq", eqs)}
+
+
+#: The second-order equation that eliminating p and q leaves for u.
+_ELIMINATION_FORM = (
+    "u'' - [v,u^2] - (1/2)*[v,z] - 2*u^3 - (1/2)*[z,u]_+ + alpha")
+
+
 def _eq_with(eqs, entry: str, lam_power: int):
     for eq in eqs:
         item = eq.provenance[0]
@@ -658,10 +669,7 @@ def _prop41_gauge(negative: bool = False) -> _Run:
         "gauge-pair-asprinted z-member", printed.p,
         expected=Mat2.from_pauli({"s2": _p("2*i*lam"), "I": _p("4*v - 4*u")}),
     )
-    defs = {
-        "p": _p("u^2 + u' + (1/2)*z"),
-        "q": _p("u^2 - u' + (1/2)*z"),
-    }
+    defs = _qp34_defs()
     run.compare(
         "conjugated spectral member vs printed "
         "(defining relations substituted)",
@@ -728,7 +736,7 @@ def _prop41_gauge(negative: bool = False) -> _Run:
         "difference of the first two printed lines under the defining "
         "relations",
         (l1 - l2).substitute(defs), "(elimination form)",
-        _p("u'' - [v,u^2] - (1/2)*[v,z] - 2*u^3 - (1/2)*[z,u]_+ + alpha"),
+        _p(_ELIMINATION_FORM),
         canonical=True,
     )
     return run
@@ -927,7 +935,7 @@ def _eliminate_pq(negative: bool = False) -> _Run:
         run.note("NEGATIVE CONTROL: the defining relations dropped the "
                  "factor 1/2 on z.")
     else:
-        defs = {"p": _p("u^2 + u' + (1/2)*z"), "q": _p("u^2 - u' + (1/2)*z")}
+        defs = _qp34_defs()
     run.compare("p - q under the defining relations",
                 defs["p"] - defs["q"], "2*u'", _p("2*u'"))
     run.compare("p + q under the defining relations",
@@ -940,8 +948,7 @@ def _eliminate_pq(negative: bool = False) -> _Run:
     rem_defs = rem.substitute(defs)
     run.compare(
         "u'' eliminated through the printed lines and defining relations",
-        rem_defs, "(elimination form)",
-        _p("u'' - [v,u^2] - (1/2)*[v,z] - 2*u^3 - (1/2)*[z,u]_+ + alpha"),
+        rem_defs, "(elimination form)", _p(_ELIMINATION_FORM),
     )
     sc = rem_defs.scalarize()
     run.compare("scalar limit of the elimination", sc,
@@ -1000,7 +1007,7 @@ def _numeric_p34_map(negative: bool = False) -> _Run:
     from . import numeric as nm
 
     run = _Run("numeric-p34-map")
-    p_expr = _p("u^2 + u' + (1/2)*z")
+    p_expr = _qp34_defs()["p"]
     closure = (p_expr.d_dz() - _p("2*u") * p_expr + _p("delta")).scalarize()
     run.compare(
         "symbolic closure of the map p = u^2 + u' + z/2", closure,

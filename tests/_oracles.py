@@ -190,10 +190,10 @@ def run_leibniz(cases: int, seed: int = 202, cross_checks: int = 200) -> int:
 _RULESET_GENS = {
     "quantum-zv": (("z", "u", "v"), ()),
     "quantum-zu": (("z", "u"), ()),
-    "inverse-pq": (("p", "q", "u"), ("p", "q")),
+    "inverse-pq": (("p", "q", "r", "u"), ("p", "q", "r")),
     "commute-vu": (("u", "v"), ()),
     "commute-uu": (("u",), ()),
-    "weyl-pii": (("p", "q", "u"), ()),
+    "weyl-pii": (("p", "q", "r", "u"), ()),
 }
 
 
@@ -225,8 +225,8 @@ def run_ideal_soundness(cases: int, seed: int = 303) -> int:
         name = rng.choice(names)
         gens, inv_gens = _RULESET_GENS[name]
         rs = builtin_ruleset(name)
-        a = random_expr(rng, gens=gens, inv_gens=inv_gens)
-        b = random_expr(rng, gens=gens, inv_gens=inv_gens)
+        a = random_expr(rng, gens=gens, max_order=5, inv_gens=inv_gens)
+        b = random_expr(rng, gens=gens, max_order=5, inv_gens=inv_gens)
         na, nb = normalize(a, rs), normalize(b, rs)
         assert normalize(na, rs) == na, f"{name} case {k}: not idempotent"
         assert normalize(a + b, rs) == na + nb, f"{name} case {k}: not linear"

@@ -77,6 +77,28 @@ def test_derived_targets_differ_from_printed_by_frozen_conventions():
     assert str(derived.reflect_z().canonical()) == str(printed.canonical())
 
 
+def _max_hbar_exponent(e: NCExpr) -> int:
+    return max(k[1] for scal in e.terms.values() for k in scal.terms)
+
+
+@pytest.mark.parametrize("key, line, power", [
+    ("qp34-target-asprinted", None, 1),
+    ("qp34-target-derived", None, 1),
+    ("qp34-target-q-asprinted", None, 1),
+    ("qp34-target-q-derived", None, 1),
+    ("qp34-target-routeb", None, 1),
+    ("results-summary", 3, 1),
+    ("qp34-hbar2", None, 2),
+    ("comparison-target", 1, 2),
+])
+def test_quantum_p34_hbar_power(key, line, power):
+    """The abstract's last claim: the gauge route's quantum P34 carries
+    hbar to the power +1, the equation it is compared with to +2."""
+    value = catalog.build(key)
+    e = value.lhs if line is None else value.equations[line]
+    assert _max_hbar_exponent(e) == power
+
+
 def test_system_lengths():
     assert len(catalog.build("pii-symmetric").equations) == 3
     assert len(catalog.build("qmpii-system-asprinted").equations) == 2

@@ -703,18 +703,14 @@ def test_builtin_rules_equal_their_algebraic_definitions(name):
             [list(s.terms) for s in b.replacement.terms.values()]
 
 
-def _steps(rule: Rule) -> list:
-    return [(word, scal) for word, _, scal in rule.steps]
-
-
 def test_rule_steps_mark_unit_coefficients():
     vu, zv = builtin_ruleset("commute-vu"), builtin_ruleset("quantum-zv")
     for k in (0, 12):
         u, v, z = Atom("u", k), Atom("v", k), Atom("z")
-        assert _steps(vu.find((v, u))[1]) == [((u, v), None)]
-        assert _steps(zv.find((v, z))[1]) == [
+        assert list(vu.find((v, u))[1].steps) == [((u, v), None)]
+        assert list(zv.find((v, z))[1].steps) == [
             ((z, v), None), ((u,), P("i/2*hbar").terms[()])]
-    assert _steps(Rule((Atom("u"), Atom("z")), P("2*z*u"))) == [
+    assert list(Rule((Atom("u"), Atom("z")), P("2*z*u")).steps) == [
         ((Atom("z"), Atom("u")), P("2").terms[()])]
 
 

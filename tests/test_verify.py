@@ -239,6 +239,23 @@ def test_named_wrappers_map_to_pipelines():
         assert verify.run(case).case == case
 
 
+def test_qp34_defs_line_two_is_read(monkeypatch):
+    """The q definition of qp34-defs feeds the pipelines that substitute
+    it: a mutant that drops its factor 1/2 on z must be caught."""
+    fresh = catalog.build
+
+    def mutated(key):
+        value = fresh(key)
+        if key == "qp34-defs":
+            value = catalog.TargetSystem(
+                (value.equations[0], P("q - u^2 + u' - z")))
+        return value
+
+    monkeypatch.setattr(catalog, "build", mutated)
+    for case in ("prop41-gauge", "eliminate-pq"):
+        assert verify.run(case).status == verify.DISCREPANCY, case
+
+
 def test_pipelines_leave_shared_catalog_values_unchanged(monkeypatch):
     """Building each catalog entry once per run is safe only while no
     pipeline edits a value it was handed: with every build shared, each
